@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import Jet
 
 SMALL_ANGLE_SQ = 1e-8
 
@@ -159,7 +158,8 @@ def _project_generic(quaternion, position, focal, principal_point, point):
     """Pinhole projection, generic over floats and jets."""
     d = (point[0] - position[0], point[1] - position[1], point[2] - position[2])
     xc, yc, zc = quat_rotate(quaternion, d)
-    if zc <= 0.0:
+    behind = zc <= 0.0
+    if behind if isinstance(zc, float) else np.any(behind):  # np.any would cost ~5 us per scalar call
         raise ProjectionError("point is on or behind the camera plane")
     return (focal * xc / zc + principal_point[0], focal * yc / zc + principal_point[1])
 
@@ -177,7 +177,7 @@ def _camera_pose(scene: Scene, theta, j: int):
     base = scene.cameras[j]
     w = (theta[6 * j], theta[6 * j + 1], theta[6 * j + 2])
     pos = (theta[6 * j + 3], theta[6 * j + 4], theta[6 * j + 5])
-    if not isinstance(w[0], Jet) and w[0] == 0.0 and w[1] == 0.0 and w[2] == 0.0:
+    if w[0] == 0.0 and w[1] == 0.0 and w[2] == 0.0:
         quat = tuple(base.quaternion)  # exact: keeps a zero-noise cost at exactly 0
     else:
         quat = quat_normalize(quat_mul(quat_from_rotvec(w), tuple(base.quaternion)))
@@ -204,37 +204,29 @@ def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray,
     """Stacked 2-vector residuals (predicted - observed) and their Jacobian.
 
     Each observation only touches 6 camera + 3 point parameters, so the
-    jets carry 9 partials which are scattered into the full Jacobian.
+    jets carry 9 partials which are scattered into the full Jacobian.  One
+    pass per camera: its 6 parameters are scalar jets and all the points it
+    observes enter as array jets.
     """
     keys = scene.observation_keys()
     nc = scene.n_camera_params
-    n_res = 2 * len(keys)
-    r = np.zeros(n_res)
-    jac = np.zeros((n_res, scene.n_params))
-    for row, (i, j) in enumerate(keys):
-        base = scene.cameras[j]
-        local = jets.variables(
-            [
-                theta[6 * j],
-                theta[6 * j + 1],
-                theta[6 * j + 2],
-                theta[6 * j + 3],
-                theta[6 * j + 4],
-                theta[6 * j + 5],
-                theta[nc + 3 * i],
-                theta[nc + 3 * i + 1],
-                theta[nc + 3 * i + 2],
-            ]
-        )
+    r = np.zeros(2 * len(keys))
+    jac = np.zeros((2 * len(keys), scene.n_params))
+    points = theta[nc:].reshape(-1, 3)
+    for j, base in enumerate(scene.cameras):
+        rows = np.array([row for row, (_, cam) in enumerate(keys) if cam == j], dtype=int)
+        idx = np.array([keys[row][0] for row in rows], dtype=int)
+        local = jets.variables([*theta[6 * j : 6 * j + 6], *points[idx].T])
         w, pos, pt = local[0:3], local[3:6], local[6:9]
         quat = quat_normalize(quat_mul(quat_from_rotvec(w), tuple(base.quaternion)))
-        du, dv = _project_generic(quat, pos, base.focal, tuple(base.principal_point), pt)
-        u = scene.observations[(i, j)]
-        cols = list(range(6 * j, 6 * j + 6)) + list(range(nc + 3 * i, nc + 3 * i + 3))
-        for comp, val in enumerate((du, dv)):
-            res = val - u[comp]
-            r[2 * row + comp] = res.value
-            jac[2 * row + comp, cols] = res.partials
+        uv = _project_generic(quat, pos, base.focal, tuple(base.principal_point), pt)
+        cam_cols = np.arange(6 * j, 6 * j + 6)
+        point_cols = nc + 3 * idx[:, None] + np.arange(3)
+        for comp, val in enumerate(uv):
+            res_rows = 2 * rows + comp
+            r[res_rows] = val.value - [scene.observations[keys[row]][comp] for row in rows]
+            jac[res_rows[:, None], cam_cols] = val.partials[:6].T
+            jac[res_rows[:, None], point_cols] = val.partials[6:].T
     return r, jac
 
 
@@ -368,6 +360,17 @@ def _look_at(position: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _rotation_to_quat(np.vstack([right, down, forward]))
 
 
+def _in_front(cameras, points) -> bool:
+    """Whether every point projects through every camera."""
+    try:
+        for cam in cameras:
+            for p in points:
+                project(cam, p)
+    except ProjectionError:
+        return False
+    return True
+
+
 def generate_problem(
     seed: int,
     n_points: int = 10,
@@ -404,6 +407,11 @@ def generate_problem(
     jitter = rng.uniform(-point_noise, point_noise, size=(n_points, 3)) if point_noise else np.zeros((n_points, 3))
     if noise_on == "points3d":
         obs_points = points + jitter
+        for i in range(n_points):
+            while not _in_front(true_cams, obs_points[i : i + 1]):  # redraw; deterministic per seed
+                for cam in true_cams:
+                    project(cam, points[i])  # a true point behind a camera cannot be helped
+                obs_points[i] = points[i] + rng.uniform(-point_noise, point_noise, size=3)
         observations = {
             (i, j): project(cam, obs_points[i]) for i in range(n_points) for j, cam in enumerate(true_cams)
         }
@@ -424,13 +432,9 @@ def generate_problem(
             quat = np.array(quat_normalize(quat_mul(dq, tuple(cam.quaternion))))
             pos = cam.position * (1.0 + rng.uniform(-camera_position_noise, camera_position_noise, size=3))
             candidate = Camera(quat, pos, cam.focal, cam.principal_point.copy())
-            try:
-                for p in points:
-                    project(candidate, p)
-            except ProjectionError:
-                continue
-            noisy_cams.append(candidate)
-            break
+            if _in_front([candidate], points):
+                noisy_cams.append(candidate)
+                break
 
     truth = Scene(points, true_cams, observations)
     initial = Scene(points.copy(), noisy_cams, observations)
@@ -490,15 +494,21 @@ def load_problem(path) -> BaProblem:
             else:
                 raise ValueError(f"unknown record {tag!r}")
 
-    def camera_from(vals: np.ndarray) -> Camera:
-        return Camera(vals[0:4], vals[4:7], float(vals[7]), vals[8:10])
+    def rows(tag: str, count: int) -> list[np.ndarray]:
+        missing = [i for i in range(count) if i not in records[tag]]
+        if missing:
+            raise ValueError(f"{path}: missing {tag} record {missing[0]}")
+        return [records[tag][i] for i in range(count)]
+
+    def cameras(tag: str) -> list[Camera]:
+        return [Camera(v[0:4], v[4:7], float(v[7]), v[8:10]) for v in rows(tag, len(records["camera"]))]
 
     n_pts = len(records["point"])
-    points = np.vstack([records["point"][i] for i in range(n_pts)])
-    cams = [camera_from(records["camera"][j]) for j in range(len(records["camera"]))]
-    init_points = np.vstack([records["init_point"][i] for i in range(n_pts)])
-    init_cams = [camera_from(records["init_camera"][j]) for j in range(len(records["init_camera"]))]
-    obs_points = np.vstack([records["obs_point"][i] for i in range(n_pts)])
+    points = np.vstack(rows("point", n_pts))
+    cams = cameras("camera")
+    init_points = np.vstack(rows("init_point", n_pts))
+    init_cams = cameras("init_camera")
+    obs_points = np.vstack(rows("obs_point", n_pts))
     observations = records["obs"]
     truth = Scene(points, cams, observations)
     initial = Scene(init_points, init_cams, observations)

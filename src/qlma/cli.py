@@ -9,7 +9,9 @@ byte-identical.  QLMA_SEED_OFFSET shifts every seed for batch sweeps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,12 +45,18 @@ from .optimizer import (
 from .svg import write_line_plot
 
 DEFAULT_SEEDS = tuple(range(1, 10))
+CONFIG_KEYS = ("seeds", "setup", "backend", "iters", "out", "slices", "phase_qubits", "jobs", "timing", "noise_on")
+COMPARE_KEYS = ("seeds_b", "setup_b", "backend_b")  # the second configuration of `compare`
 BACKEND_ALIASES = {
     "classical": "classical-schur",
     "classical-schur": "classical-schur",
     "classical-dense": "classical-dense",
     "hhl": "hhl",
 }
+
+
+class InputError(ValueError):
+    """Bad input from outside the program: a flag, config file or environment variable."""
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,13 @@ class RunConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise InputError("need at least one seed")
         if self.setup not in SETUPS:
-            raise ValueError("setup must be 1 or 2")
+            raise InputError("setup must be 1 or 2")
         if self.backend not in BACKEND_ALIASES:
-            raise ValueError(f"unknown backend {self.backend!r}")
+            raise InputError(f"unknown backend {self.backend!r}")
+        if self.noise_on not in ("points3d", "keypoints"):
+            raise InputError(f"noise_on must be points3d or keypoints, got {self.noise_on!r}")
 
     def resolved_backend(self) -> LinearBackend:
         kind = BACKEND_ALIASES[self.backend]
@@ -78,60 +88,46 @@ class RunConfig:
 
 
 def _offset_seeds(seeds) -> tuple[int, ...]:
-    offset = int(os.environ.get("QLMA_SEED_OFFSET", "0"))
+    text = os.environ.get("QLMA_SEED_OFFSET", "0")
+    try:
+        offset = int(text)
+    except ValueError:
+        raise InputError(f"QLMA_SEED_OFFSET must be an integer, got {text!r}") from None
     return tuple(int(s) + offset for s in seeds)
 
 
-def _run_one(args: tuple) -> tuple[int, ConvergenceTrace]:
-    seed, setup, backend_name, max_iters, slices, phase_qubits, noise_on = args
-    cfg = RunConfig(
-        seeds=(seed,), setup=setup, backend=backend_name, max_iters=max_iters,
-        trotter_slices=slices, phase_qubits=phase_qubits, noise_on=noise_on,
-    )
-    problem = generate_problem(seed, noise_on=noise_on)
-    trace = optimize(problem, SETUPS[setup], cfg.resolved_backend(), max_iters=max_iters, label=str(seed))
-    return seed, trace
-
-
-def run_batch(config: RunConfig) -> dict[int, ConvergenceTrace]:
-    """Optimize every seed; independent seeds may run in parallel."""
-    seeds = _offset_seeds(config.seeds)
-    jobs = [
-        (s, config.setup, config.backend, config.max_iters, config.trotter_slices, config.phase_qubits, config.noise_on)
-        for s in seeds
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = dict(pool.map(_run_one, jobs))
-    else:
-        results = dict(map(_run_one, jobs))
-    return {s: results[s] for s in seeds}
+def _run_one(job: tuple[int, RunConfig]) -> ConvergenceTrace:
+    seed, config = job
+    problem = generate_problem(seed, noise_on=config.noise_on)
+    return optimize(problem, SETUPS[config.setup], config.resolved_backend(), max_iters=config.max_iters, label=str(seed))
 
 
 def _run_batch_preserving(config: RunConfig) -> tuple[dict[int, ConvergenceTrace], list[str]]:
-    """Like run_batch, but a failing seed does not discard finished ones."""
+    """Optimize every seed, in parallel when config.jobs > 1; a failing seed
+    is reported in the failure list and does not discard finished ones."""
     seeds = _offset_seeds(config.seeds)
-    jobs = {
-        s: (s, config.setup, config.backend, config.max_iters, config.trotter_slices, config.phase_qubits, config.noise_on)
-        for s in seeds
-    }
     traces: dict[int, ConvergenceTrace] = {}
     failures: list[str] = []
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {s: pool.submit(_run_one, job) for s, job in jobs.items()}
-            for s, fut in futures.items():
-                try:
-                    traces[s] = fut.result()[1]
-                except Exception as exc:
-                    failures.append(f"seed {s}: {exc}")
-    else:
-        for s, job in jobs.items():
+    with contextlib.ExitStack() as stack:
+        if config.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
+            results = [pool.submit(_run_one, (s, config)).result for s in seeds]
+        else:
+            results = [functools.partial(_run_one, (s, config)) for s in seeds]
+        for seed, result in zip(seeds, results):
             try:
-                traces[s] = _run_one(job)[1]
+                traces[seed] = result()
             except Exception as exc:
-                failures.append(f"seed {s}: {exc}")
+                failures.append(f"seed {seed}: {exc}")
     return traces, failures
+
+
+def run_batch(config: RunConfig) -> dict[int, ConvergenceTrace]:
+    """Optimize every seed; raises if any seed failed."""
+    traces, failures = _run_batch_preserving(config)
+    if failures:
+        raise RuntimeError("; ".join(failures))
+    return traces
 
 
 def aligned_costs(traces: dict[int, ConvergenceTrace]) -> tuple[np.ndarray, list[int]]:
@@ -275,15 +271,24 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, valid_keys: tuple[str, ...]) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read config file: {exc}") from None
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise InputError(f"{path}:{number}: expected key=value, got {line!r}")
+        if key not in valid_keys:
+            raise InputError(f"{path}:{number}: unknown config key {key!r}; valid keys: {', '.join(valid_keys)}")
+        values[key] = value.strip()
     return values
 
 
@@ -292,7 +297,10 @@ def _resolve(args: argparse.Namespace, file_values: dict[str, str], key: str, de
     if cli_value is not None:
         return cli_value
     if key in file_values:
-        return cast(file_values[key])
+        try:
+            return cast(file_values[key])
+        except ValueError:
+            raise InputError(f"config key {key!r} has an invalid value {file_values[key]!r}") from None
     return default
 
 
@@ -366,7 +374,16 @@ def _run_config_from(args: argparse.Namespace, file_values: dict[str, str], suff
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    try:
+        return _dispatch(args)
+    except InputError as exc:
+        print(f"qlma: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    valid_keys = CONFIG_KEYS + (COMPARE_KEYS if args.command == "compare" else ())
+    file_values = _load_config_file(args.config, valid_keys) if getattr(args, "config", None) else {}
 
     if args.command == "run":
         return cmd_run(_run_config_from(args, file_values))

@@ -2,7 +2,8 @@
 
 Arithmetic propagates derivatives by the chain rule, so any function built
 from these operations yields exact analytic partials.  Plain floats mix in
-as constants.
+as constants.  A value is a float, with partials of shape (n, 1), or an
+array of shape (B,), with partials (n, B): B jets evaluated elementwise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 @dataclass
 class Jet:
-    value: float
+    value: float | np.ndarray
     partials: np.ndarray
 
     def _coerce(self, other) -> "Jet":
@@ -47,7 +48,7 @@ class Jet:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.value == 0.0:
+        if np.any(o.value == 0.0):
             raise ZeroDivisionError("jet division by zero value")
         inv = 1.0 / o.value
         return Jet(self.value * inv, (self.partials - self.value * inv * o.partials) * inv)
@@ -74,16 +75,15 @@ def _value(x) -> float:
 
 
 def variables(values) -> list[Jet]:
-    """Seed one jet per entry with identity partials."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    return [Jet(float(v), np.eye(n)[i]) for i, v in enumerate(values)]
+    """Seed one jet per entry with identity partials; an array entry seeds an array jet."""
+    eye = np.eye(len(values))
+    return [Jet(float(v) if np.ndim(v) == 0 else v, eye[:, [i]] * np.ones(np.size(v))) for i, v in enumerate(values)]
 
 
 def sqrt(x):
     if isinstance(x, Jet):
-        root = math.sqrt(x.value)
-        if root == 0.0:
+        root = np.sqrt(x.value)
+        if np.any(root == 0.0):
             raise ZeroDivisionError("jet sqrt at zero has no derivative")
         return Jet(root, x.partials / (2.0 * root))
     return math.sqrt(x)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlma import jets
 from qlma.ba import (
     Camera,
     ProjectionError,
     Scene,
+    _project_generic,
     back_substitute,
     build_normal_equations,
     generate_problem,
@@ -70,6 +73,29 @@ def test_jet_reflected_operators():
     assert z.partials[0] == pytest.approx(-2.0 / 16.0)
     w = 3.0 + (-xj) * 2.0
     assert (w.value, w.partials[0]) == (-5.0, -2.0)
+
+
+def test_array_jet_equals_per_element_scalar_jets():
+    xs, ys = np.array([0.3, 1.7, -2.5]), np.array([4.0, 0.25, 9.0])
+
+    def f(a, x, y):
+        return jets.sqrt(a * y) + (x - a) / y - 2.0 / (x * x + 1.0) + 3.0 * a
+
+    a, x, y = jets.variables([0.8, xs, ys])
+    batched = f(a, x, y)
+    assert batched.value.shape == (3,) and batched.partials.shape == (3, 3)
+    for k in range(3):
+        scalar = f(*jets.variables([0.8, xs[k], ys[k]]))
+        assert batched.value[k] == scalar.value
+        assert np.array_equal(batched.partials[:, k], scalar.partials[:, 0])
+
+
+def test_array_jet_zero_divisor_raises():
+    a, x = jets.variables([1.0, np.array([2.0, 0.0])])
+    with pytest.raises(ZeroDivisionError):
+        a / x
+    with pytest.raises(ZeroDivisionError):
+        jets.sqrt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +218,46 @@ def test_jacobian_away_from_zero_increment():
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-5
 
 
+def per_observation_reference(scene, theta):
+    """Residuals and Jacobian with one scalar-jet pass per observation."""
+    keys = scene.observation_keys()
+    nc = scene.n_camera_params
+    r = np.zeros(2 * len(keys))
+    jac = np.zeros((2 * len(keys), scene.n_params))
+    for row, (i, j) in enumerate(keys):
+        base = scene.cameras[j]
+        cols = [*range(6 * j, 6 * j + 6), *range(nc + 3 * i, nc + 3 * i + 3)]
+        local = jets.variables(theta[cols])
+        quat = quat_normalize(quat_mul(quat_from_rotvec(local[0:3]), tuple(base.quaternion)))
+        uv = _project_generic(quat, local[3:6], base.focal, tuple(base.principal_point), local[6:9])
+        for comp, val in enumerate(uv):
+            res = val - scene.observations[(i, j)][comp]
+            r[2 * row + comp] = res.value
+            jac[2 * row + comp, cols] = res.partials[:, 0]
+    return r, jac
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 400),
+    rotation=st.one_of(st.just((0.0,) * 6), st.tuples(*[st.floats(-0.05, 0.05)] * 6)),
+    position=st.tuples(*[st.floats(-0.1, 0.1)] * 6),
+)
+def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotation, position):
+    scene = generate_problem(seed).initial
+    theta = scene.initial_params()
+    theta[[0, 1, 2, 6, 7, 8]] += rotation  # zero hits the series branch of quat_from_rotvec
+    theta[[3, 4, 5, 9, 10, 11]] += position
+    try:
+        expected = per_observation_reference(scene, theta)
+    except ProjectionError:
+        with pytest.raises(ProjectionError):
+            residuals_and_jacobian(scene, theta)
+        return
+    r, jac = residuals_and_jacobian(scene, theta)
+    assert np.array_equal(r, expected[0]) and np.array_equal(jac, expected[1])
+
+
 def test_residuals_zero_at_ground_truth_without_noise():
     prob = generate_problem(4, point_noise=0, camera_position_noise=0, camera_rotation_noise=0)
     r, _ = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
@@ -304,6 +370,14 @@ def test_generation_deterministic():
         assert np.array_equal(a.truth.observations[key], b.truth.observations[key])
 
 
+@pytest.mark.parametrize("seed", [29, 100])
+def test_generation_redraws_jitter_that_puts_a_point_behind_a_camera(seed):
+    prob = generate_problem(seed)
+    assert np.all(np.abs(prob.observation_points - prob.truth.points) <= 0.5)
+    for (i, j), uv in prob.truth.observations.items():
+        assert np.array_equal(project(prob.truth.cameras[j], prob.observation_points[i]), uv)
+
+
 def test_generation_seeds_differ():
     assert not np.array_equal(generate_problem(1).truth.points, generate_problem(2).truth.points)
 
@@ -343,6 +417,15 @@ def test_saved_problem_replays_identically(tmp_path):
     direct = optimize(prob, SETUPS[2], LinearBackend("classical-schur"), 10)
     again = optimize(replayed, SETUPS[2], LinearBackend("classical-schur"), 10)
     assert np.array_equal(direct.costs(), again.costs())
+
+
+def test_load_problem_names_missing_record(tmp_path):
+    path = tmp_path / "problem.txt"
+    save_problem(generate_problem(5), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("init_camera")))
+    with pytest.raises(ValueError, match="missing init_camera record 0"):
+        load_problem(path)
 
 
 def test_problem_round_trip(tmp_path):

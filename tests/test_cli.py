@@ -215,3 +215,61 @@ def test_run_config_validation():
         RunConfig(setup=3)
     with pytest.raises(ValueError):
         RunConfig(backend="annealer")
+
+
+def test_run_batch_raises_when_a_seed_fails(monkeypatch):
+    import qlma.cli as cli
+
+    real = cli._run_one
+
+    def flaky(job):
+        if job[0] == 2:
+            raise RuntimeError("synthetic solver abort")
+        return real(job)
+
+    monkeypatch.setattr(cli, "_run_one", flaky)
+    with pytest.raises(RuntimeError, match="seed 2: synthetic solver abort"):
+        run_batch(RunConfig(seeds=(1, 2), max_iters=1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seeds=1\niter=2\n", "unknown config key 'iter'; valid keys: seeds, setup, backend, iters,"),
+        ("seeds_b=2\n", "unknown config key 'seeds_b'"),
+        ("iters=two\n", "config key 'iters' has an invalid value 'two'"),
+        ("setup=3\n", "setup must be 1 or 2"),
+        ("noise_on=pixels\n", "noise_on must be points3d or keypoints, got 'pixels'"),
+        ("iters\n", "expected key=value"),
+    ],
+)
+def test_bad_config_file_fails_with_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "qlma.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_missing_config_file_fails_with_one_line(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and err.count("\n") == 1
+
+
+def test_compare_accepts_second_configuration_keys(tmp_path):
+    cfg = tmp_path / "qlma.cfg"
+    cfg.write_text("seeds=1\niters=1\nbackend=classical\nbackend_b=classical-dense\n")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+
+
+@pytest.mark.parametrize("command", [["run", "--seeds", "1", "--iters", "1"], ["gen", "--seeds", "1"]])
+def test_non_integer_seed_offset_fails_with_one_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("QLMA_SEED_OFFSET", "x")
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "QLMA_SEED_OFFSET must be an integer, got 'x'" in err and err.count("\n") == 1
+    assert not any(out.glob("*"))
