@@ -473,26 +473,36 @@ def save_problem(problem: BaProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Fields after the tag of each record save_problem writes.
+_RECORD_FIELDS = {"seed": 1, "point": 4, "camera": 11, "obs": 4, "obs_point": 4, "init_point": 4, "init_camera": 11}
+
+
 def load_problem(path) -> BaProblem:
     records: dict[str, dict] = {
         "point": {}, "camera": {}, "obs": {}, "obs_point": {}, "init_point": {}, "init_camera": {},
     }
     seed = 0
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             tag = parts[0]
-            if tag == "seed":
-                seed = int(parts[1])
-            elif tag == "obs":
-                records["obs"][(int(parts[1]), int(parts[2]))] = np.array([float(parts[3]), float(parts[4])])
-            elif tag in records:
-                records[tag][int(parts[1])] = np.array([float(v) for v in parts[2:]])
-            else:
-                raise ValueError(f"unknown record {tag!r}")
+            where = f"{path}:{number}"
+            if tag not in _RECORD_FIELDS:
+                raise ValueError(f"{where}: unknown record {tag!r}")
+            if len(parts) - 1 != _RECORD_FIELDS[tag]:
+                raise ValueError(f"{where}: {tag} record needs {_RECORD_FIELDS[tag]} fields, got {len(parts) - 1}")
+            try:
+                if tag == "seed":
+                    seed = int(parts[1])
+                elif tag == "obs":
+                    records["obs"][(int(parts[1]), int(parts[2]))] = np.array([float(parts[3]), float(parts[4])])
+                else:
+                    records[tag][int(parts[1])] = np.array([float(v) for v in parts[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: malformed {tag} record: {exc}") from None
 
     def rows(tag: str, count: int) -> list[np.ndarray]:
         missing = [i for i in range(count) if i not in records[tag]]

@@ -81,6 +81,10 @@ class RunConfig:
             raise InputError(f"unknown backend {self.backend!r}")
         if self.noise_on not in ("points3d", "keypoints"):
             raise InputError(f"noise_on must be points3d or keypoints, got {self.noise_on!r}")
+        if self.trotter_slices < 1:
+            raise InputError(f"slices must be at least 1, got {self.trotter_slices}")
+        if self.phase_qubits < 1:
+            raise InputError(f"phase_qubits must be at least 1, got {self.phase_qubits}")
 
     def resolved_backend(self) -> LinearBackend:
         kind = BACKEND_ALIASES[self.backend]
@@ -102,10 +106,10 @@ def _run_one(job: tuple[int, RunConfig]) -> ConvergenceTrace:
     return optimize(problem, SETUPS[config.setup], config.resolved_backend(), max_iters=config.max_iters, label=str(seed))
 
 
-def _run_batch_preserving(config: RunConfig) -> tuple[dict[int, ConvergenceTrace], list[str]]:
-    """Optimize every seed, in parallel when config.jobs > 1; a failing seed
-    is reported in the failure list and does not discard finished ones."""
-    seeds = _offset_seeds(config.seeds)
+def _run_batch_preserving(config: RunConfig, seeds: tuple[int, ...]) -> tuple[dict[int, ConvergenceTrace], list[str]]:
+    """Optimize every (offset) seed, in parallel when config.jobs > 1; a
+    failing seed is reported in the failure list and does not discard
+    finished ones."""
     traces: dict[int, ConvergenceTrace] = {}
     failures: list[str] = []
     with contextlib.ExitStack() as stack:
@@ -124,7 +128,7 @@ def _run_batch_preserving(config: RunConfig) -> tuple[dict[int, ConvergenceTrace
 
 def run_batch(config: RunConfig) -> dict[int, ConvergenceTrace]:
     """Optimize every seed; raises if any seed failed."""
-    traces, failures = _run_batch_preserving(config)
+    traces, failures = _run_batch_preserving(config, _offset_seeds(config.seeds))
     if failures:
         raise RuntimeError("; ".join(failures))
     return traces
@@ -170,8 +174,9 @@ def _summary_series(summary_path) -> dict[str, tuple[list, list]]:
 
 
 def cmd_run(config: RunConfig) -> int:
+    seeds = _offset_seeds(config.seeds)
     os.makedirs(config.output_dir, exist_ok=True)
-    traces, failures = _run_batch_preserving(config)
+    traces, failures = _run_batch_preserving(config, seeds)
     for seed, trace in traces.items():
         write_trace_csv(trace, os.path.join(config.output_dir, f"trace_seed{seed}.csv"), config.timing)
     if traces:
@@ -260,8 +265,9 @@ def cmd_noise(
 
 
 def cmd_gen(seeds, output_dir: str, noise_on: str) -> int:
+    seeds = _offset_seeds(seeds)
     os.makedirs(output_dir, exist_ok=True)
-    for seed in _offset_seeds(seeds):
+    for seed in seeds:
         problem = generate_problem(seed, noise_on=noise_on)
         save_problem(problem, os.path.join(output_dir, f"problem_seed{seed}.txt"))
     return 0

@@ -316,6 +316,15 @@ def _apply_controlled_block(amps: np.ndarray, block: np.ndarray, n_data: int, co
     return out.reshape(-1)
 
 
+def _squaring_chain(matrix: np.ndarray, count: int) -> list[np.ndarray]:
+    """matrix**(2**j) for j < count, each the square of the previous one
+    (the products np.linalg.matrix_power makes for a power of two)."""
+    powers = [matrix]
+    for _ in range(count - 1):
+        powers.append(powers[-1] @ powers[-1])
+    return powers
+
+
 def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> HhlSolution:
     """Run the full pipeline and read the solution off the statevector.
 
@@ -355,8 +364,8 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
             state = apply_gate(state, h(q))
         amps = state.amplitudes
         step = _nearest_unitary(evolution_matrix(spec))
-        for j, q in enumerate(phase_qubits):
-            amps = _apply_controlled_block(amps, np.linalg.matrix_power(step, 2**j), k, q)
+        for q, power in zip(phase_qubits, _squaring_chain(step, m)):
+            amps = _apply_controlled_block(amps, power, k, q)
             amps = amps / np.linalg.norm(amps)  # absorb float drift of the powers
         state = StateVector(n, amps)
         state = apply_circuit(state, Circuit(n, iqft.ops))
@@ -389,9 +398,9 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     else:
         state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))
         amps = state.amplitudes
-        step_dag = step.conj().T
-        for j, q in reversed(list(enumerate(phase_qubits))):
-            amps = _apply_controlled_block(amps, np.linalg.matrix_power(step_dag, 2**j), k, q)
+        dag_powers = _squaring_chain(step.conj().T, m)
+        for q, power in reversed(list(zip(phase_qubits, dag_powers))):
+            amps = _apply_controlled_block(amps, power, k, q)
             amps = amps / np.linalg.norm(amps)
         state = StateVector(n, amps)
         for q in phase_qubits:

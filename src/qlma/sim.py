@@ -23,6 +23,7 @@ regardless of its number of controls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -254,34 +255,64 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
+@functools.lru_cache(maxsize=256)
+def _index_plan(n_qubits: int, target: int, controls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude index pairs of a gate on `target` under `controls`: row p
+    of i0 holds the indices with target bit 0 whose control bits spell p
+    (controls[j] gives bit j), and i1 = i0 with the target bit set."""
+    idx = np.arange(2**n_qubits)
+    i0 = idx[((idx >> target) & 1) == 0]
+    pattern = np.zeros_like(i0)
+    for j, c in enumerate(controls):
+        pattern |= ((i0 >> c) & 1) << j
+    i0 = i0[np.argsort(pattern, kind="stable")].reshape(2 ** len(controls), -1)
+    i1 = i0 | (1 << target)
+    i0.flags.writeable = i1.flags.writeable = False  # shared by every caller
+    return i0, i1
+
+
+def _apply_ops(amps: np.ndarray, n_qubits: int, ops: tuple[GateOp, ...]) -> np.ndarray:
+    """Apply ops that share target and controls and have pairwise distinct
+    control states.  Their amplitude pairs are disjoint, so one gather,
+    compute and scatter applies them all, each pair seeing the arithmetic of
+    its own gate alone."""
+    i0, i1 = _index_plan(n_qubits, ops[0].target, ops[0].controls)
+    rows = [sum(s << j for j, s in enumerate(op.control_states)) for op in ops]
+    i0, i1 = i0[rows], i1[rows]
+    m = np.stack([gate_matrix(op) for op in ops])[..., None]
+    out = amps.copy()
+    a0, a1 = amps[i0], amps[i1]
+    out[i0] = m[:, 0, 0] * a0 + m[:, 0, 1] * a1
+    out[i1] = m[:, 1, 0] * a0 + m[:, 1, 1] * a1
+    return out
+
+
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns the new state (norm preserved)."""
     n = state.n_qubits
     for q in op.qubits:
         if not 0 <= q < n:
             raise SimulationError(f"qubit {q} out of range for {n}-qubit state")
-    amps = state.amplitudes
-    m = gate_matrix(op)
-    idx = np.arange(amps.size)
-    mask = ((idx >> op.target) & 1) == 0
-    for c, s in zip(op.controls, op.control_states):
-        mask &= ((idx >> c) & 1) == s
-    i0 = idx[mask]
-    i1 = i0 | (1 << op.target)
-    out = amps.copy()
-    a0, a1 = amps[i0], amps[i1]
-    out[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    out[i1] = m[1, 0] * a0 + m[1, 1] * a1
-    return StateVector(n, out)
+    return StateVector(n, _apply_ops(state.amplitudes, n, (op,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Apply the ops in order.  Each maximal run of ops on one target and
+    control tuple with pairwise distinct control states (such as the
+    eigenvalue inversion's one rotation per register value) takes one
+    kernel pass; a repeated control pattern starts a new run."""
     if circuit.n_qubits != state.n_qubits:
         raise SimulationError(
             f"circuit on {circuit.n_qubits} qubits applied to {state.n_qubits}-qubit state"
         )
-    for op in circuit.ops:
-        state = apply_gate(state, op)
+    ops, start = circuit.ops, 0
+    while start < len(ops):
+        end, seen = start + 1, {ops[start].control_states}
+        while end < len(ops) and ops[end].qubits == ops[start].qubits and ops[end].control_states not in seen:
+            seen.add(ops[end].control_states)
+            end += 1
+        state = StateVector(state.n_qubits, _apply_ops(state.amplitudes, state.n_qubits, ops[start:end]))
+        start = end
     return state
 
 

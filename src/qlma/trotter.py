@@ -49,15 +49,22 @@ def pauli_string_matrix(label: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _pauli_basis(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """All 4**n Pauli strings and their dense matrices, stacked."""
-    if n_qubits > 6:
-        raise SimulationError("dense Pauli basis capped at 6 qubits")
-    labels = []
-    for code in range(4**n_qubits):
-        labels.append("".join(PAULI_LABELS[(code >> (2 * q)) & 3] for q in range(n_qubits)))
-    mats = np.stack([pauli_string_matrix(lbl) for lbl in labels])
-    return tuple(labels), mats
+def _pauli_table(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """All 4**n Pauli strings as signed permutations.
+
+    String a carries PAULI_LABELS[(a >> 2q) & 3] on qubit q.  Its matrix has
+    one nonzero per row i, at column cols[a, i] = i ^ xmask, with value
+    phases[a, i] = (-i)**#Y * (-1)**popcount(i & (ymask | zmask)).
+    """
+    kinds = (np.arange(4**n_qubits)[:, None] >> 2 * np.arange(n_qubits)) & 3  # (4**n, n): I X Y Z
+    labels = tuple(map("".join, np.array(list(PAULI_LABELS))[kinds].tolist()))
+    rows = np.arange(2**n_qubits)
+    xmask = ((kinds == 1) | (kinds == 2)) @ (1 << np.arange(n_qubits))
+    cols = rows ^ xmask[:, None]
+    parity = ((kinds >= 2) @ ((rows >> np.arange(n_qubits)[:, None]) & 1)) & 1
+    phases = np.array([1, -1j, -1, 1j])[np.sum(kinds == 2, axis=1) % 4, None] * (1 - 2 * parity)
+    cols.flags.writeable = phases.flags.writeable = False  # shared by every caller
+    return labels, cols, phases
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,12 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
         raise SimulationError("matrix is not Hermitian")
-    labels, basis = _pauli_basis(n_qubits)
-    coeffs = np.einsum("aij,ji->a", basis, m) / dim
+    labels, cols, phases = _pauli_table(n_qubits)
+    # tr(P @ M) = sum_i P[i, i^x] * M[i^x, i].  Rows are added one at a time
+    # in increasing order: the order fixes the coefficients' last bits, which
+    # the term order and every trace depend on (tests/test_trotter.py).
+    products = phases * m[cols, np.arange(dim)]
+    coeffs = functools.reduce(np.add, products.T, np.zeros(4**n_qubits, dtype=complex)) / dim
     if np.max(np.abs(coeffs.imag)) > HERMITIAN_TOL * scale:
         raise SimulationError("non-real Pauli coefficients")
     terms = [
@@ -148,11 +159,14 @@ def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
     dim = 2**n
     tau = spec.time / spec.slices
     eye = np.eye(dim, dtype=complex)
-    labels, basis = _pauli_basis(n)
-    index = {lbl: i for i, lbl in enumerate(labels)}
+    _, cols, phases = _pauli_table(n)
+    rows = np.arange(dim)
 
     def term_exp(coef: float, label: str, s: float) -> np.ndarray:
-        return math.cos(coef * s) * eye - 1j * math.sin(coef * s) * basis[index[label]]
+        code = sum(PAULI_LABELS.index(ch) << 2 * q for q, ch in enumerate(label))
+        pauli = np.zeros((dim, dim), dtype=complex)
+        pauli[rows, cols[code]] = phases[code]
+        return math.cos(coef * s) * eye - 1j * math.sin(coef * s) * pauli
 
     out = eye
     if spec.order == 1:

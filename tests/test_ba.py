@@ -442,3 +442,27 @@ def test_problem_round_trip(tmp_path):
     for key, uv in prob.truth.observations.items():
         assert np.array_equal(loaded.truth.observations[key], uv)
     assert total_cost(loaded.initial) == total_cost(prob.initial)
+
+
+def _saved_lines(tmp_path):
+    path = tmp_path / "problem.txt"
+    save_problem(generate_problem(5), path)
+    return path, path.read_text().splitlines()
+
+
+def test_load_problem_names_line_of_malformed_number(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith("point 3 "))
+    lines[number - 1] = "point 3 1.0 abc 2.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"problem.txt:{number}: malformed point record: .*'abc'"):
+        load_problem(path)
+
+
+def test_load_problem_names_line_of_short_record(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith("init_camera 1 "))
+    lines[number - 1] = lines[number - 1].rsplit(" ", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"problem.txt:{number}: init_camera record needs 11 fields, got 10"):
+        load_problem(path)

@@ -273,3 +273,23 @@ def test_non_integer_seed_offset_fails_with_one_line(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "QLMA_SEED_OFFSET must be an integer, got 'x'" in err and err.count("\n") == 1
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--slices", "0"], "slices must be at least 1, got 0"), (["--phase-qubits", "0"], "phase_qubits must be at least 1, got 0")],
+)
+def test_out_of_range_hhl_settings_fail_with_one_line(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert main(["run", "--seeds", "1", "--iters", "1", "--backend", "hhl", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--seeds", "1", "--iters", "1"], ["gen", "--seeds", "1"]])
+def test_bad_seed_offset_leaves_no_output_directory(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("QLMA_SEED_OFFSET", "1.5")
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out)]) == 2
+    assert not out.exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlma.sim import (
     Circuit,
@@ -225,3 +227,102 @@ def test_invalid_ops_rejected():
         GateOp("u", 0, params=(1.0,))  # wrong arity
     with pytest.raises(SimulationError):
         apply_gate(StateVector.zero(1), cx(1, 0))  # out of range
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the index-plan kernel with the mask-based kernel
+# ---------------------------------------------------------------------------
+
+def mask_kernel(amps, op):
+    """Reference kernel without index plans: one mask pass per control over
+    all amplitudes, then the same gather, arithmetic and scatter."""
+    m = gate_matrix(op)
+    idx = np.arange(amps.size)
+    mask = ((idx >> op.target) & 1) == 0
+    for c, s in zip(op.controls, op.control_states):
+        mask &= ((idx >> c) & 1) == s
+    i0 = idx[mask]
+    i1 = i0 | (1 << op.target)
+    out = amps.copy()
+    a0, a1 = amps[i0], amps[i1]
+    out[i0] = m[0, 0] * a0 + m[0, 1] * a1
+    out[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    return out
+
+
+def seeded_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+N_PARAMS = {"x": 0, "h": 0, "u": 4, "cx": 0, "cu": 4, "cry": 1}
+
+
+@st.composite
+def gate_ops(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(sorted(N_PARAMS)))
+    target = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([q for q in range(n) if q != target]))
+    if kind in ("x", "h", "u"):
+        n_ctrl = 0
+    elif kind in ("cx", "cu"):
+        assume(others)
+        n_ctrl = 1
+    else:
+        n_ctrl = draw(st.integers(0, len(others)))
+    states = draw(st.lists(st.integers(0, 1), min_size=n_ctrl, max_size=n_ctrl))
+    params = draw(st.lists(angles, min_size=N_PARAMS[kind], max_size=N_PARAMS[kind]))
+    return n, GateOp(kind, target, tuple(others[:n_ctrl]), tuple(states), tuple(params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_ops(), st.integers(0, 2**32 - 1))
+def test_apply_gate_bit_identical_to_mask_kernel(drawn, seed):
+    n, op = drawn
+    state = seeded_state(n, seed)
+    assert apply_gate(state, op).amplitudes.tobytes() == mask_kernel(state.amplitudes, op).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_circuit_bit_identical_on_rotation_runs(n, data, seed):
+    """Runs of same-target rotations (the eigenvalue inversion) are applied in
+    one pass; a repeated control pattern, another gate in between, or
+    another control tuple must split the run without changing a bit."""
+    target = data.draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != target]
+    controls = tuple(data.draw(st.permutations(others))[: data.draw(st.integers(1, len(others)))])
+    patterns = st.tuples(*[st.integers(0, 1)] * len(controls))
+    ops = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        choice = data.draw(st.sampled_from(["rotation", "rotation", "rotation", "other-controls", "hadamard"]))
+        if choice == "rotation":
+            ops.append(cry(data.draw(angles), target, controls, data.draw(patterns)))
+        elif choice == "other-controls":
+            ops.append(cry(data.draw(angles), target, controls[:-1], data.draw(patterns)[:-1]))
+        else:
+            ops.append(h(data.draw(st.sampled_from(range(n)))))
+    state = seeded_state(n, seed)
+    expected = state.amplitudes
+    for op in ops:
+        expected = mask_kernel(expected, op)
+    assert apply_circuit(state, Circuit(n, tuple(ops))).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_repeated_control_pattern_is_applied_twice():
+    rotations = [cry(0.3, 3, (0, 1, 2), (1, 0, 1)), cry(0.5, 3, (0, 1, 2), (0, 0, 1)), cry(0.7, 3, (0, 1, 2), (1, 0, 1))]
+    state = seeded_state(4, 3)
+    expected = state.amplitudes
+    for op in rotations:
+        expected = mask_kernel(expected, op)
+    result = apply_circuit(state, Circuit(4, tuple(rotations))).amplitudes
+    assert result.tobytes() == expected.tobytes()
+    # the pattern (1, 0, 1) turned by 0.3 then 0.7: one rotation by 1.0
+    assert np.allclose(result, apply_gate(apply_gate(state, rotations[1]), cry(1.0, 3, (0, 1, 2), (1, 0, 1))).amplitudes)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlma.sim import SimulationError, StateVector, apply_circuit, circuit_unitary
 from qlma.trotter import (
@@ -265,3 +267,60 @@ def test_qpe_layout_validation():
         QpeLayout(2, (0, 1), (1, 2))
     with pytest.raises(SimulationError):
         QpeLayout(2, (0,), (1,))
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the Pauli table with the dense 4**n basis
+# ---------------------------------------------------------------------------
+
+def dense_basis(n):
+    labels = ["".join("IXYZ"[(code >> 2 * q) & 3] for q in range(n)) for code in range(4**n)]
+    return labels, np.stack([pauli_string_matrix(lbl) for lbl in labels])
+
+
+def dense_decompose_terms(m):
+    """Reference decomposition: one einsum over the stacked dense basis."""
+    n = m.shape[0].bit_length() - 1
+    labels, basis = dense_basis(n)
+    coeffs = np.einsum("aij,ji->a", basis, m) / m.shape[0]
+    terms = [(float(c.real), lbl) for c, lbl in zip(coeffs, labels) if abs(c.real) > 1e-12]
+    terms.sort(key=lambda t: (-abs(t[0]), t[1]))
+    return tuple(terms)
+
+
+def dense_slice_matrix(spec):
+    labels, basis = dense_basis(spec.decomposition.n_qubits)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    eye = np.eye(basis.shape[1], dtype=complex)
+    tau = spec.time / spec.slices
+    halves = [(c, lbl, tau / 2) for c, lbl in spec.decomposition.terms]
+    steps = [(c, lbl, tau) for c, lbl in spec.decomposition.terms] if spec.order == 1 else halves + halves[::-1]
+    out = eye
+    for coef, label, s in steps:
+        out = (math.cos(coef * s) * eye - 1j * math.sin(coef * s) * basis[index[label]]) @ out
+    return out
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    if draw(st.booleans()):
+        a = np.round(4 * a) / 4  # exact ties and exactly vanishing coefficients
+    return draw(st.sampled_from([1e-13, 1e-3, 1.0, 1e3])) * (a + a.conj().T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_matrices(), st.sampled_from([1, 2]), st.floats(-3.0, 3.0, allow_nan=False))
+def test_pauli_table_bit_identical_to_dense_basis(m, order, time):
+    dec = decompose_hermitian(m)
+    assert dec.terms == dense_decompose_terms(m)
+    spec = EvolutionSpec(dec, time, slices=3, order=order)
+    assert np.array_equal(slice_matrix(spec), dense_slice_matrix(spec))
+
+
+def test_decompose_has_no_qubit_cap():
+    m = 0.5 * pauli_string_matrix("XIYZIIX") - 0.25 * pauli_string_matrix("ZZZZZZZ") + 0.125 * np.eye(128)
+    dec = decompose_hermitian(m)
+    assert dec.terms == ((0.5, "XIYZIIX"), (-0.25, "ZZZZZZZ"), (0.125, "IIIIIII"))
