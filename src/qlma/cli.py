@@ -85,6 +85,10 @@ class RunConfig:
             raise InputError(f"slices must be at least 1, got {self.trotter_slices}")
         if self.phase_qubits < 1:
             raise InputError(f"phase_qubits must be at least 1, got {self.phase_qubits}")
+        if self.max_iters < 1:
+            raise InputError(f"iters must be at least 1, got {self.max_iters}")
+        if self.jobs < 1:
+            raise InputError(f"jobs must be at least 1, got {self.jobs}")
 
     def resolved_backend(self) -> LinearBackend:
         kind = BACKEND_ALIASES[self.backend]
@@ -378,6 +382,25 @@ def _run_config_from(args: argparse.Namespace, file_values: dict[str, str], suff
     )
 
 
+def _check_noise_flags(args: argparse.Namespace) -> None:
+    """Reject an out-of-range `qlma noise` flag before anything is printed."""
+    counts = (
+        ("--measured-qubits", args.measured_qubits, 0),
+        ("--iterations", args.iterations, 0),
+        ("--slices", args.slices, 1),
+        ("--phase-qubits", args.phase_qubits, 1),
+    )
+    for flag, value, low in counts:
+        if value < low:
+            raise InputError(f"{flag} must be at least {low}, got {value}")
+    for flag in ("one_qubit_rate", "two_qubit_rate", "measurement_rate"):
+        value = getattr(args, flag)
+        if value is not None and not 0.0 <= value < 1.0:
+            raise InputError(f"--{flag.replace('_', '-')} must lie in [0, 1), got {value}")
+    if args.p_single is not None and not 0.0 <= args.p_single <= 1.0:
+        raise InputError(f"--p-single must lie in [0, 1], got {args.p_single}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -401,6 +424,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         out = _resolve(args, file_values, "out", ".", str)
         return cmd_compare(config_a, config_b, out)
     if args.command == "noise":
+        _check_noise_flags(args)
         if args.preset:
             rates = RATE_PRESETS[args.preset]
         else:

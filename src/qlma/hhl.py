@@ -19,6 +19,7 @@ rotated, so weight there is discarded by the post-selection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -325,6 +326,21 @@ def _squaring_chain(matrix: np.ndarray, count: int) -> list[np.ndarray]:
     return powers
 
 
+def _zero_extend(state: StateVector, n_qubits: int) -> StateVector:
+    """The state on n_qubits with the added high qubits in |0>."""
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[: state.amplitudes.size] = state.amplitudes
+    return StateVector(n_qubits, amps)
+
+
+@functools.lru_cache(maxsize=16)
+def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit]:
+    """The inverse transform on the estimation register (data and phase
+    qubits) and its inverse on the full register with the ancilla."""
+    iqft = inverse_qft_circuit(list(range(n_data, n_data + n_phase)))
+    return Circuit(n_data + n_phase, iqft.ops), Circuit(n_data + n_phase + 1, inverse_circuit(iqft).ops)
+
+
 def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> HhlSolution:
     """Run the full pipeline and read the solution off the statevector.
 
@@ -350,25 +366,29 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     time = -math.pi / bound
     spec = EvolutionSpec(decompose_hermitian(problem.matrix), time, config.slices, config.order)
 
-    state = StateVector.zero(n)
-    prep = state_preparation_circuit(problem.rhs, data_qubits)
-    for op in prep.ops:
+    # The ancilla stays |0> until the inversion, so the state preparation,
+    # the Hadamards, the inverse transform and the readout run without it.
+    # The controlled powers keep all n qubits: on the k+m register a
+    # one-phase-qubit power would multiply a single row, and numpy's
+    # matrix-vector product rounds differently from its matrix product.
+    state = StateVector.zero(k)
+    for op in state_preparation_circuit(problem.rhs, data_qubits).ops:
         state = apply_gate(state, op)
+    state = _zero_extend(state, k + m)
 
-    iqft = inverse_qft_circuit(phase_qubits)
+    iqft, iqft_dag = _readout_circuits(k, m)
     if config.evolution == "circuit":
         forward = qpe_circuit(spec, layout)
-        state = apply_circuit(state, Circuit(n, forward.ops))
+        state = apply_circuit(state, forward)
     else:
         for q in phase_qubits:
             state = apply_gate(state, h(q))
-        amps = state.amplitudes
+        amps = _zero_extend(state, n).amplitudes
         step = _nearest_unitary(evolution_matrix(spec))
         for q, power in zip(phase_qubits, _squaring_chain(step, m)):
             amps = _apply_controlled_block(amps, power, k, q)
             amps = amps / np.linalg.norm(amps)  # absorb float drift of the powers
-        state = StateVector(n, amps)
-        state = apply_circuit(state, Circuit(n, iqft.ops))
+        state = apply_circuit(StateVector(k + m, amps[: 2 ** (k + m)]), iqft)
 
     register = measure_distribution(state, phase_qubits)
     reachable = {v for v, p in register.items() if p > config.reachable_tol}
@@ -391,12 +411,15 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
                 f"inversion constant {constant} is invalid for reachable register value {v}"
             )
     inversion = inversion_rotation_circuit(layout, ancilla, constant, bins)
+    state = _zero_extend(state, n)
     state = apply_circuit(state, Circuit(n, inversion.ops))
 
+    # The uncompute keeps all n qubits: each controlled power renormalizes
+    # by the norm of both ancilla branches together.
     if config.evolution == "circuit":
         state = apply_circuit(state, Circuit(n, inverse_circuit(forward).ops))
     else:
-        state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))
+        state = apply_circuit(state, iqft_dag)
         amps = state.amplitudes
         dag_powers = _squaring_chain(step.conj().T, m)
         for q, power in reversed(list(zip(phase_qubits, dag_powers))):

@@ -278,7 +278,10 @@ def _apply_ops(amps: np.ndarray, n_qubits: int, ops: tuple[GateOp, ...]) -> np.n
     its own gate alone."""
     i0, i1 = _index_plan(n_qubits, ops[0].target, ops[0].controls)
     rows = [sum(s << j for j, s in enumerate(op.control_states)) for op in ops]
-    i0, i1 = i0[rows], i1[rows]
+    if len(rows) == 1:  # a slice is a view; indexing by a list would copy the row
+        i0, i1 = i0[rows[0] : rows[0] + 1], i1[rows[0] : rows[0] + 1]
+    else:
+        i0, i1 = i0[rows], i1[rows]
     m = np.stack([gate_matrix(op) for op in ops])[..., None]
     out = amps.copy()
     a0, a1 = amps[i0], amps[i1]

@@ -67,6 +67,12 @@ def _pauli_table(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray
     return labels, cols, phases
 
 
+@functools.lru_cache(maxsize=8)
+def _pauli_index(n_qubits: int) -> dict[str, int]:
+    """Row of each label in _pauli_table(n_qubits); read-only."""
+    return {label: a for a, label in enumerate(_pauli_table(n_qubits)[0])}
+
+
 @dataclass(frozen=True)
 class HermitianDecomposition:
     """A Hermitian operator as sum_j coefficient_j * PauliString_j.
@@ -160,13 +166,16 @@ def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
     tau = spec.time / spec.slices
     eye = np.eye(dim, dtype=complex)
     _, cols, phases = _pauli_table(n)
+    index = _pauli_index(n)
     rows = np.arange(dim)
 
     def term_exp(coef: float, label: str, s: float) -> np.ndarray:
-        code = sum(PAULI_LABELS.index(ch) << 2 * q for q, ch in enumerate(label))
-        pauli = np.zeros((dim, dim), dtype=complex)
-        pauli[rows, cols[code]] = phases[code]
-        return math.cos(coef * s) * eye - 1j * math.sin(coef * s) * pauli
+        # cos(cs) I - i sin(cs) P, written only at P's nonzeros: subtracting
+        # P's zeros would leave every entry of cos(cs) I bit for bit as it is.
+        a = index[label]
+        out = math.cos(coef * s) * eye
+        out[rows, cols[a]] -= 1j * math.sin(coef * s) * phases[a]
+        return out
 
     out = eye
     if spec.order == 1:

@@ -287,6 +287,37 @@ def test_out_of_range_hhl_settings_fail_with_one_line(tmp_path, capsys, flags, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--iters", "0"], "iters must be at least 1, got 0"), (["--jobs", "-2"], "jobs must be at least 1, got -2")],
+)
+def test_out_of_range_run_settings_fail_with_one_line(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "run"
+    assert main([command, "--seeds", "1", "--iters", "1", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and err.startswith("qlma: error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--measured-qubits", "-1"], "--measured-qubits must be at least 0, got -1"),
+        (["--iterations", "-1"], "--iterations must be at least 0, got -1"),
+        (["--p-single", "1.5"], "--p-single must lie in [0, 1], got 1.5"),
+        (["--one-qubit-rate", "2"], "--one-qubit-rate must lie in [0, 1), got 2.0"),
+        (["--own-counts", "--phase-qubits", "0"], "--phase-qubits must be at least 1, got 0"),
+        (["--own-counts", "--slices", "0"], "--slices must be at least 1, got 0"),
+    ],
+)
+def test_out_of_range_noise_flags_fail_with_one_line(capsys, flags, message):
+    assert main(["noise", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qlma: error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["run", "--seeds", "1", "--iters", "1"], ["gen", "--seeds", "1"]])
 def test_bad_seed_offset_leaves_no_output_directory(tmp_path, monkeypatch, command):
     monkeypatch.setenv("QLMA_SEED_OFFSET", "1.5")

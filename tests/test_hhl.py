@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlma.hhl import (
     HermitianProblem,
@@ -12,20 +15,27 @@ from qlma.hhl import (
     hhl_gate_tally,
     hhl_solve,
     inversion_rotation_circuit,
+    _apply_controlled_block,
+    _nearest_unitary,
+    _squaring_chain,
     minimal_hhl_circuit,
+    project_solution,
     spectral_bound,
     state_preparation_circuit,
 )
 from qlma.sim import (
+    Circuit,
     StateVector,
     apply_circuit,
     apply_gate,
     circuit_unitary,
     gate_counts,
+    h,
+    inverse_circuit,
     measure_distribution,
     post_select,
 )
-from qlma.trotter import QpeLayout
+from qlma.trotter import EvolutionSpec, QpeLayout, decompose_hermitian, evolution_matrix, inverse_qft_circuit
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -374,3 +384,103 @@ def test_gate_tally_structure():
     assert one + two == sum(per.values())
     # fully unrolled product formula dwarfs the composite-instruction tally
     assert two > 1000
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the full-register pipeline
+# ---------------------------------------------------------------------------
+
+def full_register_hhl_solve(problem, config):
+    """Reference: the matrix path with all k+m+1 qubits from the state
+    preparation through the uncompute, ancilla included throughout."""
+    k, m = problem.n_data_qubits, config.n_phase_qubits
+    n = k + m + 1
+    data_qubits, phase_qubits = list(range(k)), list(range(k, k + m))
+    layout = QpeLayout(m, tuple(data_qubits), tuple(phase_qubits))
+    bound = config.lambda_bound if config.lambda_bound is not None else spectral_bound(problem.matrix)
+    spec = EvolutionSpec(decompose_hermitian(problem.matrix), -math.pi / bound, config.slices, config.order)
+
+    state = StateVector.zero(n)
+    for op in state_preparation_circuit(problem.rhs, data_qubits).ops:
+        state = apply_gate(state, op)
+    iqft = inverse_qft_circuit(phase_qubits)
+    for q in phase_qubits:
+        state = apply_gate(state, h(q))
+    amps = state.amplitudes
+    step = _nearest_unitary(evolution_matrix(spec))
+    for q, power in zip(phase_qubits, _squaring_chain(step, m)):
+        amps = _apply_controlled_block(amps, power, k, q)
+        amps = amps / np.linalg.norm(amps)
+    state = apply_circuit(StateVector(n, amps), Circuit(n, iqft.ops))
+
+    register = measure_distribution(state, phase_qubits)
+    reachable = {v for v, p in register.items() if p > config.reachable_tol}
+    reachable_nonzero = sorted(v for v in reachable if v != 0)
+    if not reachable_nonzero:
+        raise HhlError("phase register resolves only the zero eigenvalue bin")
+    constant = config.inversion_constant
+    if constant is None:
+        constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
+    bins = [None] * 2**m
+    for v in range(1, 2**m):
+        lam = bin_phase(v, m)
+        if abs(constant / lam) <= 1.0 + 1e-12:
+            bins[v] = lam
+        elif v in reachable:
+            raise HhlError(f"inversion constant {constant} is invalid for reachable register value {v}")
+    inversion = inversion_rotation_circuit(layout, k + m, constant, bins)
+    state = apply_circuit(state, Circuit(n, inversion.ops))
+
+    state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))
+    amps = state.amplitudes
+    for q, power in reversed(list(zip(phase_qubits, _squaring_chain(step.conj().T, m)))):
+        amps = _apply_controlled_block(amps, power, k, q)
+        amps = amps / np.linalg.norm(amps)
+    state = StateVector(n, amps)
+    for q in phase_qubits:
+        state = apply_gate(state, h(q))
+
+    selected = state.amplitudes[2 ** (k + m) :]
+    success = float(np.sum(np.abs(selected) ** 2))
+    if success < 1e-12:
+        raise HhlError(f"post-selection probability {success} below threshold")
+    success = min(success, 1.0)
+    block = selected[: 2**k]
+    block_norm = float(np.linalg.norm(block))
+    fidelity = block_norm / math.sqrt(success)
+    pivot = int(np.argmax(np.abs(block)))
+    phase = float(np.angle(block[pivot])) if block_norm > 0 else 0.0
+    if phase > math.pi / 2:
+        phase -= math.pi
+    elif phase < -math.pi / 2:
+        phase += math.pi
+    aligned = np.real(block * np.exp(-1j * phase))
+    denorm = problem.rhs_norm / (constant * 2.0 * bound) / problem.scale
+    return project_solution(problem, aligned * denorm), success, min(fidelity, 1.0), register
+
+
+@st.composite
+def linear_systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    a = rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        a = a + a.T
+    return embed_problem(a, rng.normal(size=dim), force_dilation=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_systems(), st.sampled_from([1, 2, 3, 4, 5, 7]), st.sampled_from([1, 2]), st.integers(1, 4))
+def test_solve_bit_identical_to_full_register_pipeline(problem, m, order, slices):
+    config = HhlConfig(n_phase_qubits=m, slices=slices, order=order)
+    try:
+        expected = full_register_hhl_solve(problem, config)
+    except HhlError as exc:
+        with pytest.raises(HhlError, match=re.escape(str(exc))):
+            hhl_solve(problem, config)
+        return
+    got = hhl_solve(problem, config)
+    solution, success, fidelity, register = expected
+    assert got.solution.tobytes() == solution.tobytes()
+    assert (got.success_probability, got.fidelity_proxy) == (success, fidelity)
+    assert got.register_distribution == register

@@ -320,6 +320,14 @@ def test_pauli_table_bit_identical_to_dense_basis(m, order, time):
     assert np.array_equal(slice_matrix(spec), dense_slice_matrix(spec))
 
 
+@settings(max_examples=150, deadline=None)
+@given(hermitian_matrices(), st.sampled_from([1, 2]), st.floats(-50.0, 50.0, allow_nan=False))
+def test_slice_matrix_bytes_equal_dense_reference(m, order, time):
+    # tobytes also tells signed zeros apart, which np.array_equal does not
+    spec = EvolutionSpec(decompose_hermitian(m), time, slices=3, order=order)
+    assert slice_matrix(spec).tobytes() == dense_slice_matrix(spec).tobytes()
+
+
 def test_decompose_has_no_qubit_cap():
     m = 0.5 * pauli_string_matrix("XIYZIIX") - 0.25 * pauli_string_matrix("ZZZZZZZ") + 0.125 * np.eye(128)
     dec = decompose_hermitian(m)
