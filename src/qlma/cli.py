@@ -151,30 +151,26 @@ def aligned_costs(traces: dict[int, ConvergenceTrace]) -> tuple[np.ndarray, list
     return out, seeds
 
 
-def write_summary(traces: dict[int, ConvergenceTrace], path) -> None:
+def write_summary(traces: dict[int, ConvergenceTrace], path) -> dict[str, tuple[list, list]]:
     """Mean across seeds plus the curves of the best and worst seeds,
-    ranked by their cost at the last iteration."""
+    ranked by their cost at the last iteration; returns the three curves
+    as plot series."""
     costs, seeds = aligned_costs(traces)
     finals = costs[:, -1]
     best_row = int(np.argmin(finals))
     worst_row = int(np.argmax(finals))
+    its = list(range(1, costs.shape[1] + 1))
+    series = {
+        # per column: costs.mean(axis=0) sums in another order and changes last bits
+        "mean": (its, [float(costs[:, it].mean()) for it in range(costs.shape[1])]),
+        "best": (its, [float(c) for c in costs[best_row]]),
+        "worst": (its, [float(c) for c in costs[worst_row]]),
+    }
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "mean", "best", "worst"])
-        for it in range(costs.shape[1]):
-            writer.writerow(
-                [it + 1, repr(float(costs[:, it].mean())), repr(float(costs[best_row, it])), repr(float(costs[worst_row, it]))]
-            )
-
-
-def _summary_series(summary_path) -> dict[str, tuple[list, list]]:
-    rows = list(csv.DictReader(open(summary_path)))
-    its = [int(r["iteration"]) for r in rows]
-    return {
-        "mean": (its, [float(r["mean"]) for r in rows]),
-        "best": (its, [float(r["best"]) for r in rows]),
-        "worst": (its, [float(r["worst"]) for r in rows]),
-    }
+        writer.writerow(["iteration", *series])
+        writer.writerows(zip(its, *([repr(y) for y in ys] for _, ys in series.values())))
+    return series
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -184,10 +180,9 @@ def cmd_run(config: RunConfig) -> int:
     for seed, trace in traces.items():
         write_trace_csv(trace, os.path.join(config.output_dir, f"trace_seed{seed}.csv"), config.timing)
     if traces:
-        summary = os.path.join(config.output_dir, "summary.csv")
-        write_summary(traces, summary)
+        series = write_summary(traces, os.path.join(config.output_dir, "summary.csv"))
         title = f"setup {config.setup} / {config.backend}"
-        write_line_plot(os.path.join(config.output_dir, "summary.svg"), _summary_series(summary), title)
+        write_line_plot(os.path.join(config.output_dir, "summary.svg"), series, title)
     for failure in failures:
         print(f"run failed: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -354,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--iterations", type=int, default=10)
     noise.add_argument("--p-single", type=float, default=None)
     noise.add_argument("--own-counts", action="store_true")
-    noise.add_argument("--slices", type=int, default=50)
-    noise.add_argument("--phase-qubits", dest="phase_qubits", type=int, default=3)
+    noise.add_argument("--slices", type=int, default=None, help="with --own-counts (default 50)")
+    noise.add_argument("--phase-qubits", dest="phase_qubits", type=int, default=None, help="with --own-counts (default 3)")
 
     gen = sub.add_parser("gen", help="write problem files")
     gen.add_argument("--seeds", type=_parse_seeds, default=None)
@@ -383,7 +378,8 @@ def _run_config_from(args: argparse.Namespace, file_values: dict[str, str], suff
 
 
 def _check_noise_flags(args: argparse.Namespace) -> None:
-    """Reject an out-of-range `qlma noise` flag before anything is printed."""
+    """Reject an out-of-range `qlma noise` flag, or one the command would
+    ignore, before anything is printed."""
     counts = (
         ("--measured-qubits", args.measured_qubits, 0),
         ("--iterations", args.iterations, 0),
@@ -391,14 +387,21 @@ def _check_noise_flags(args: argparse.Namespace) -> None:
         ("--phase-qubits", args.phase_qubits, 1),
     )
     for flag, value, low in counts:
-        if value < low:
+        if value is not None and value < low:
             raise InputError(f"{flag} must be at least {low}, got {value}")
     for flag in ("one_qubit_rate", "two_qubit_rate", "measurement_rate"):
         value = getattr(args, flag)
-        if value is not None and not 0.0 <= value < 1.0:
+        if value is None:
+            continue
+        if not 0.0 <= value < 1.0:
             raise InputError(f"--{flag.replace('_', '-')} must lie in [0, 1), got {value}")
+        if args.preset:
+            raise InputError(f"--{flag.replace('_', '-')} cannot be combined with --preset")
     if args.p_single is not None and not 0.0 <= args.p_single <= 1.0:
         raise InputError(f"--p-single must lie in [0, 1], got {args.p_single}")
+    for flag, value in (("--slices", args.slices), ("--phase-qubits", args.phase_qubits)):
+        if value is not None and not args.own_counts:
+            raise InputError(f"{flag} only applies with --own-counts")
 
 
 def main(argv=None) -> int:
@@ -435,7 +438,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         return cmd_noise(
             rates, args.measured_qubits, args.iterations, args.own_counts,
-            args.slices, args.phase_qubits, args.p_single,
+            args.slices if args.slices is not None else 50,
+            args.phase_qubits if args.phase_qubits is not None else 3,
+            args.p_single,
         )
     if args.command == "gen":
         seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS

@@ -38,20 +38,19 @@ from .sim import (
     h,
     inverse_circuit,
     measure_distribution,
-    post_select,
 )
 from .trotter import (
+    HERMITIAN_TOL,
     EvolutionSpec,
     HermitianDecomposition,
     QpeLayout,
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
-    qpe_circuit,
     trotter_circuit,
 )
 
-HERMITIAN_TOL = 1e-10
+REACHABLE_TOL = 1e-9  # register values with more weight are treated as reachable
 
 
 class HhlError(SimulationError):
@@ -151,9 +150,7 @@ class HhlConfig:
     (0 < C <= 1); None picks the smallest reachable nonzero |eigenphase|,
     which maximizes the post-selection probability while keeping every
     rotation angle valid.  lambda_bound overrides the row-sum spectral
-    bound (useful when the caller knows a tight bound).  evolution chooses
-    between the dense matrix form of the sliced product formula and the
-    fully unrolled gate form; both implement the identical operator.
+    bound (useful when the caller knows a tight bound).
     """
 
     n_phase_qubits: int = 3
@@ -161,16 +158,12 @@ class HhlConfig:
     order: int = 2
     inversion_constant: float | None = None
     lambda_bound: float | None = None
-    evolution: str = "matrix"
-    reachable_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_phase_qubits < 1:
             raise HhlError("need at least one phase qubit")
         if self.inversion_constant is not None and not 0.0 < self.inversion_constant <= 1.0:
             raise HhlError("inversion constant must lie in (0, 1]")
-        if self.evolution not in ("matrix", "circuit"):
-            raise HhlError("evolution must be 'matrix' or 'circuit'")
 
 
 @dataclass(frozen=True)
@@ -376,22 +369,18 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
         state = apply_gate(state, op)
     state = _zero_extend(state, k + m)
 
+    for q in phase_qubits:
+        state = apply_gate(state, h(q))
+    amps = _zero_extend(state, n).amplitudes
+    step = _nearest_unitary(evolution_matrix(spec))
+    for q, power in zip(phase_qubits, _squaring_chain(step, m)):
+        amps = _apply_controlled_block(amps, power, k, q)
+        amps = amps / np.linalg.norm(amps)  # absorb float drift of the powers
     iqft, iqft_dag = _readout_circuits(k, m)
-    if config.evolution == "circuit":
-        forward = qpe_circuit(spec, layout)
-        state = apply_circuit(state, forward)
-    else:
-        for q in phase_qubits:
-            state = apply_gate(state, h(q))
-        amps = _zero_extend(state, n).amplitudes
-        step = _nearest_unitary(evolution_matrix(spec))
-        for q, power in zip(phase_qubits, _squaring_chain(step, m)):
-            amps = _apply_controlled_block(amps, power, k, q)
-            amps = amps / np.linalg.norm(amps)  # absorb float drift of the powers
-        state = apply_circuit(StateVector(k + m, amps[: 2 ** (k + m)]), iqft)
+    state = apply_circuit(StateVector(k + m, amps[: 2 ** (k + m)]), iqft)
 
     register = measure_distribution(state, phase_qubits)
-    reachable = {v for v, p in register.items() if p > config.reachable_tol}
+    reachable = {v for v, p in register.items() if p > REACHABLE_TOL}
     reachable_nonzero = sorted(v for v in reachable if v != 0)
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
@@ -416,18 +405,14 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
 
     # The uncompute keeps all n qubits: each controlled power renormalizes
     # by the norm of both ancilla branches together.
-    if config.evolution == "circuit":
-        state = apply_circuit(state, Circuit(n, inverse_circuit(forward).ops))
-    else:
-        state = apply_circuit(state, iqft_dag)
-        amps = state.amplitudes
-        dag_powers = _squaring_chain(step.conj().T, m)
-        for q, power in reversed(list(zip(phase_qubits, dag_powers))):
-            amps = _apply_controlled_block(amps, power, k, q)
-            amps = amps / np.linalg.norm(amps)
-        state = StateVector(n, amps)
-        for q in phase_qubits:
-            state = apply_gate(state, h(q))
+    amps = apply_circuit(state, iqft_dag).amplitudes
+    dag_powers = _squaring_chain(step.conj().T, m)
+    for q, power in reversed(list(zip(phase_qubits, dag_powers))):
+        amps = _apply_controlled_block(amps, power, k, q)
+        amps = amps / np.linalg.norm(amps)
+    state = StateVector(n, amps)
+    for q in phase_qubits:
+        state = apply_gate(state, h(q))
 
     selected = state.amplitudes[2 ** (k + m) :]
     success = float(np.sum(np.abs(selected) ** 2))

@@ -156,42 +156,42 @@ class EvolutionSpec:
 # Matrix form of the evolution.  One slice is a short product of closed-form
 # Pauli exponentials (P**2 = I gives e^{-icPs} = cos(cs) I - i sin(cs) P), and
 # the full evolution is a matrix power of that slice, so the slice count is
-# essentially free here.  The gate form below implements the same product.
+# essentially free here.  The gate form below applies the same term sequence.
 # ---------------------------------------------------------------------------
+
+def _slice_sequence(terms, tau: float, order: int) -> list[tuple[float, str, float]]:
+    """(coef, label, time) of one slice's term exponentials in application
+    order: each term once at tau (order 1), or forward then reversed at
+    tau / 2 (order 2)."""
+    if order == 1:
+        return [(coef, label, tau) for coef, label in terms]
+    half = [(coef, label, tau / 2) for coef, label in terms]
+    return half + half[::-1]
+
 
 def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
     """Dense unitary of a single time slice (t / slices)."""
     n = spec.decomposition.n_qubits
     dim = 2**n
-    tau = spec.time / spec.slices
     eye = np.eye(dim, dtype=complex)
     _, cols, phases = _pauli_table(n)
     index = _pauli_index(n)
     rows = np.arange(dim)
 
-    def term_exp(coef: float, label: str, s: float) -> np.ndarray:
+    out = eye
+    for coef, label, s in _slice_sequence(spec.decomposition.terms, spec.time / spec.slices, spec.order):
         # cos(cs) I - i sin(cs) P, written only at P's nonzeros: subtracting
         # P's zeros would leave every entry of cos(cs) I bit for bit as it is.
         a = index[label]
-        out = math.cos(coef * s) * eye
-        out[rows, cols[a]] -= 1j * math.sin(coef * s) * phases[a]
-        return out
-
-    out = eye
-    if spec.order == 1:
-        for coef, label in spec.decomposition.terms:
-            out = term_exp(coef, label, tau) @ out
-    else:
-        for coef, label in spec.decomposition.terms:
-            out = term_exp(coef, label, tau / 2) @ out
-        for coef, label in reversed(spec.decomposition.terms):
-            out = term_exp(coef, label, tau / 2) @ out
+        term = math.cos(coef * s) * eye
+        term[rows, cols[a]] -= 1j * math.sin(coef * s) * phases[a]
+        out = term @ out
     return out
 
 
-def evolution_matrix(spec: EvolutionSpec, power: int = 0) -> np.ndarray:
-    """Dense unitary of the sliced evolution raised to the 2**power."""
-    return np.linalg.matrix_power(slice_matrix(spec), spec.slices * 2**power)
+def evolution_matrix(spec: EvolutionSpec) -> np.ndarray:
+    """Dense unitary of the sliced evolution."""
+    return np.linalg.matrix_power(slice_matrix(spec), spec.slices)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def _term_gates(coef: float, label: str, tau: float, control: int | None) -> lis
 def trotter_circuit(spec: EvolutionSpec, controlled_by: tuple[int, int] | None = None) -> Circuit:
     """Product-formula circuit for e^{-iAt}.
 
-    Order 1 applies the term exponentials once per slice; order 2 applies
-    half-angle forward and reversed passes.  With controlled_by=(qubit, j)
+    Each slice applies the term exponentials of _slice_sequence, the order
+    slice_matrix multiplies them in.  With controlled_by=(qubit, j)
     the slice sequence is repeated slices * 2**j times with every rotation
     promoted onto the control, so the circuit is exactly the controlled
     2**j-th power of the uncontrolled evolution; identity terms become a
@@ -254,14 +254,8 @@ def trotter_circuit(spec: EvolutionSpec, controlled_by: tuple[int, int] | None =
     acting = [(c, lbl) for c, lbl in dec.terms if set(lbl) != {"I"}]
 
     slice_ops: list[GateOp] = []
-    if spec.order == 1:
-        for coef, label in acting:
-            slice_ops.extend(_term_gates(coef, label, tau, control))
-    else:
-        for coef, label in acting:
-            slice_ops.extend(_term_gates(coef, label, tau / 2, control))
-        for coef, label in reversed(acting):
-            slice_ops.extend(_term_gates(coef, label, tau / 2, control))
+    for coef, label, s in _slice_sequence(acting, tau, spec.order):
+        slice_ops.extend(_term_gates(coef, label, s, control))
 
     ops = slice_ops * repeats
     if identity_coef:

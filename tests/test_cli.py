@@ -309,6 +309,11 @@ def test_out_of_range_run_settings_fail_with_one_line(tmp_path, capsys, command,
         (["--one-qubit-rate", "2"], "--one-qubit-rate must lie in [0, 1), got 2.0"),
         (["--own-counts", "--phase-qubits", "0"], "--phase-qubits must be at least 1, got 0"),
         (["--own-counts", "--slices", "0"], "--slices must be at least 1, got 0"),
+        (["--preset", "ibmq", "--one-qubit-rate", "0.5"], "--one-qubit-rate cannot be combined with --preset"),
+        (["--preset", "ibmq", "--two-qubit-rate", "0.1"], "--two-qubit-rate cannot be combined with --preset"),
+        (["--preset", "experimental", "--measurement-rate", "0"], "--measurement-rate cannot be combined with --preset"),
+        (["--slices", "3"], "--slices only applies with --own-counts"),
+        (["--phase-qubits", "7"], "--phase-qubits only applies with --own-counts"),
     ],
 )
 def test_out_of_range_noise_flags_fail_with_one_line(capsys, flags, message):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlma.hhl import (
+    REACHABLE_TOL,
     HermitianProblem,
     HhlConfig,
     HhlError,
@@ -35,7 +36,14 @@ from qlma.sim import (
     measure_distribution,
     post_select,
 )
-from qlma.trotter import EvolutionSpec, QpeLayout, decompose_hermitian, evolution_matrix, inverse_qft_circuit
+from qlma.trotter import (
+    EvolutionSpec,
+    QpeLayout,
+    decompose_hermitian,
+    evolution_matrix,
+    inverse_qft_circuit,
+    qpe_circuit,
+)
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -294,16 +302,17 @@ def test_on_grid_solutions_match_dense_solve():
         assert np.linalg.norm(sol.solution - expected) / np.linalg.norm(expected) < 1e-6
 
 
-def test_matrix_and_circuit_paths_agree():
+def test_solve_agrees_with_gate_level_pipeline():
     rng = np.random.default_rng(6)
     a = _grid_spd(rng, 2)
     b = rng.normal(size=2)
     b /= np.linalg.norm(b)
     prob = embed_problem(a, b)
-    fast = hhl_solve(prob, HhlConfig(lambda_bound=1.0, slices=3))
-    slow = hhl_solve(prob, HhlConfig(lambda_bound=1.0, slices=3, evolution="circuit"))
-    assert np.allclose(fast.solution, slow.solution, atol=1e-9)
-    assert fast.success_probability == pytest.approx(slow.success_probability, abs=1e-9)
+    config = HhlConfig(lambda_bound=1.0, slices=3)
+    fast = hhl_solve(prob, config)
+    solution, success, _, _ = gate_level_hhl_solve(prob, config)
+    assert np.allclose(fast.solution, solution, atol=1e-9)
+    assert fast.success_probability == pytest.approx(success, abs=1e-9)
 
 
 def test_scaling_covariance():
@@ -347,9 +356,6 @@ def test_negative_eigenvalues_through_dilation():
 def test_uncompute_returns_phase_register_to_zero():
     # drive the public pieces end to end and inspect the register before
     # post-selection
-    from qlma.trotter import EvolutionSpec, decompose_hermitian, qpe_circuit
-    from qlma.sim import Circuit, inverse_circuit
-
     b = np.array([1.0, 1.0]) / math.sqrt(2)
     prob = embed_problem(FLIP, b)
     k, m = 1, 3
@@ -387,34 +393,22 @@ def test_gate_tally_structure():
 
 
 # ---------------------------------------------------------------------------
-# bit identity with the full-register pipeline
+# reference pipelines
 # ---------------------------------------------------------------------------
 
-def full_register_hhl_solve(problem, config):
-    """Reference: the matrix path with all k+m+1 qubits from the state
-    preparation through the uncompute, ancilla included throughout."""
+def _reference_setup(problem, config):
     k, m = problem.n_data_qubits, config.n_phase_qubits
-    n = k + m + 1
-    data_qubits, phase_qubits = list(range(k)), list(range(k, k + m))
-    layout = QpeLayout(m, tuple(data_qubits), tuple(phase_qubits))
+    layout = QpeLayout(m, tuple(range(k)), tuple(range(k, k + m)))
     bound = config.lambda_bound if config.lambda_bound is not None else spectral_bound(problem.matrix)
     spec = EvolutionSpec(decompose_hermitian(problem.matrix), -math.pi / bound, config.slices, config.order)
+    return k, m, k + m + 1, layout, bound, spec
 
-    state = StateVector.zero(n)
-    for op in state_preparation_circuit(problem.rhs, data_qubits).ops:
-        state = apply_gate(state, op)
-    iqft = inverse_qft_circuit(phase_qubits)
-    for q in phase_qubits:
-        state = apply_gate(state, h(q))
-    amps = state.amplitudes
-    step = _nearest_unitary(evolution_matrix(spec))
-    for q, power in zip(phase_qubits, _squaring_chain(step, m)):
-        amps = _apply_controlled_block(amps, power, k, q)
-        amps = amps / np.linalg.norm(amps)
-    state = apply_circuit(StateVector(n, amps), Circuit(n, iqft.ops))
 
-    register = measure_distribution(state, phase_qubits)
-    reachable = {v for v, p in register.items() if p > config.reachable_tol}
+def _reference_inversion(register, config, layout, ancilla):
+    """The inversion constant and rotations hhl_solve picks for a register
+    distribution."""
+    m = config.n_phase_qubits
+    reachable = {v for v, p in register.items() if p > REACHABLE_TOL}
     reachable_nonzero = sorted(v for v in reachable if v != 0)
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
@@ -428,18 +422,12 @@ def full_register_hhl_solve(problem, config):
             bins[v] = lam
         elif v in reachable:
             raise HhlError(f"inversion constant {constant} is invalid for reachable register value {v}")
-    inversion = inversion_rotation_circuit(layout, k + m, constant, bins)
-    state = apply_circuit(state, Circuit(n, inversion.ops))
+    return constant, inversion_rotation_circuit(layout, ancilla, constant, bins)
 
-    state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))
-    amps = state.amplitudes
-    for q, power in reversed(list(zip(phase_qubits, _squaring_chain(step.conj().T, m)))):
-        amps = _apply_controlled_block(amps, power, k, q)
-        amps = amps / np.linalg.norm(amps)
-    state = StateVector(n, amps)
-    for q in phase_qubits:
-        state = apply_gate(state, h(q))
 
+def _reference_readout(problem, state, k, m, constant, bound):
+    """Post-select the ancilla and read the de-normalized, phase-aligned
+    solution, the success probability and the fidelity proxy."""
     selected = state.amplitudes[2 ** (k + m) :]
     success = float(np.sum(np.abs(selected) ** 2))
     if success < 1e-12:
@@ -456,7 +444,55 @@ def full_register_hhl_solve(problem, config):
         phase += math.pi
     aligned = np.real(block * np.exp(-1j * phase))
     denorm = problem.rhs_norm / (constant * 2.0 * bound) / problem.scale
-    return project_solution(problem, aligned * denorm), success, min(fidelity, 1.0), register
+    return project_solution(problem, aligned * denorm), success, min(fidelity, 1.0)
+
+
+def gate_level_hhl_solve(problem, config):
+    """The pipeline with the fully unrolled gate evolution on all k+m+1
+    qubits: phase estimation by qpe_circuit, the uncompute as its inverse."""
+    k, m, n, layout, bound, spec = _reference_setup(problem, config)
+    forward = Circuit(n, qpe_circuit(spec, layout).ops)
+    state = apply_circuit(StateVector.zero(n), Circuit(n, state_preparation_circuit(problem.rhs, list(range(k))).ops))
+    state = apply_circuit(state, forward)
+    register = measure_distribution(state, list(layout.phase_qubits))
+    constant, inversion = _reference_inversion(register, config, layout, k + m)
+    state = apply_circuit(state, Circuit(n, inversion.ops))
+    state = apply_circuit(state, inverse_circuit(forward))
+    return (*_reference_readout(problem, state, k, m, constant, bound), register)
+
+
+def full_register_hhl_solve(problem, config):
+    """Reference: the matrix path with all k+m+1 qubits from the state
+    preparation through the uncompute, ancilla included throughout."""
+    k, m, n, layout, bound, spec = _reference_setup(problem, config)
+    phase_qubits = list(layout.phase_qubits)
+
+    state = StateVector.zero(n)
+    for op in state_preparation_circuit(problem.rhs, list(range(k))).ops:
+        state = apply_gate(state, op)
+    iqft = inverse_qft_circuit(phase_qubits)
+    for q in phase_qubits:
+        state = apply_gate(state, h(q))
+    amps = state.amplitudes
+    step = _nearest_unitary(evolution_matrix(spec))
+    for q, power in zip(phase_qubits, _squaring_chain(step, m)):
+        amps = _apply_controlled_block(amps, power, k, q)
+        amps = amps / np.linalg.norm(amps)
+    state = apply_circuit(StateVector(n, amps), Circuit(n, iqft.ops))
+
+    register = measure_distribution(state, phase_qubits)
+    constant, inversion = _reference_inversion(register, config, layout, k + m)
+    state = apply_circuit(state, Circuit(n, inversion.ops))
+
+    state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))
+    amps = state.amplitudes
+    for q, power in reversed(list(zip(phase_qubits, _squaring_chain(step.conj().T, m)))):
+        amps = _apply_controlled_block(amps, power, k, q)
+        amps = amps / np.linalg.norm(amps)
+    state = StateVector(n, amps)
+    for q in phase_qubits:
+        state = apply_gate(state, h(q))
+    return (*_reference_readout(problem, state, k, m, constant, bound), register)
 
 
 @st.composite
