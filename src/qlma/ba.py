@@ -13,6 +13,7 @@ the camera block stays at 6 parameters per camera.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -259,75 +260,63 @@ class NormalEquations:
     def full_gradient(self) -> np.ndarray:
         return np.concatenate([self.grad_cam, self.grad_pts])
 
+    def point_coupling(self) -> np.ndarray:  # E_i as (n_points, m_c, 3)
+        return self.coupling.reshape(self.m_c, len(self.point_blocks), 3).transpose(1, 0, 2)
+
 
 def build_normal_equations(
     residuals: np.ndarray,
     jacobian: np.ndarray,
     lam1: float,
     lam2: float,
-    d_diag: np.ndarray | None = None,
     m_c: int | None = None,
 ) -> NormalEquations:
-    """Assemble J^T J + lam1 D^T D + lam2 I and the gradient J^T r.
+    """Assemble J^T J + lam1 D^T D + lam2 I and the gradient J^T r in block form.
 
-    D defaults to the column norms of J (so D^T D is the diagonal of J^T J),
-    floored at 1e-12.  m_c splits parameters into the camera block and the
-    3x3-block point part; None treats everything as the camera block.
+    D^T D is the diagonal of J^T J, floored at 1e-12.  m_c splits parameters
+    into the camera block and the 3x3-block point part; None treats everything
+    as the camera block.  Only the camera rows of J^T J and the 3x3 point
+    blocks are formed, so no row of J may touch two point blocks.
     """
     if lam1 < 0 or lam2 < 0:
         raise ValueError("damping parameters must be nonnegative")
-    jtj = jacobian.T @ jacobian
-    n = jtj.shape[0]
-    if d_diag is None:
-        dtd = np.maximum(np.diag(jtj), 1e-12)
-    else:
-        dtd = np.maximum(np.asarray(d_diag, dtype=float) ** 2, 1e-12)
-    h = jtj + lam1 * np.diag(dtd) + lam2 * np.eye(n)
-    g = jacobian.T @ residuals
-    if m_c is None:
-        m_c = n
+    rows, n = jacobian.shape
+    m_c = n if m_c is None else m_c
     n_pts, rem = divmod(n - m_c, 3)
     if rem:
         raise ValueError("point parameter count is not a multiple of three")
-    off_block = h[m_c:, m_c:].copy()
-    blocks = np.zeros((n_pts, 3, 3))
-    for i in range(n_pts):
-        blocks[i] = off_block[3 * i : 3 * i + 3, 3 * i : 3 * i + 3]
-        off_block[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = 0.0
-    if n_pts and np.max(np.abs(off_block)) > 1e-10:
+    nz = jacobian[:, m_c:] != 0
+    if np.any((nz[:, 0::3] | nz[:, 1::3] | nz[:, 2::3]).sum(axis=1) > 1):  # points per row
         raise ValueError("point block of the normal equations is not 3x3 block diagonal")
-    return NormalEquations(
-        camera_block=h[:m_c, :m_c],
-        point_blocks=blocks,
-        coupling=h[:m_c, m_c:],
-        grad_cam=g[:m_c],
-        grad_pts=g[m_c:],
-        m_c=m_c,
-    )
+    slab = np.ascontiguousarray(jacobian.T[:m_c]) @ jacobian
+    jp = jacobian[:, m_c:].reshape(rows, n_pts, 3).transpose(1, 0, 2)
+    blocks = jp.transpose(0, 2, 1) @ jp
+    for diag in (np.einsum("ii->i", slab[:, :m_c]), np.einsum("kii->ki", blocks)):  # writable views
+        diag += lam1 * np.maximum(diag, 1e-12)
+        diag += lam2
+    g = jacobian.T @ residuals
+    return NormalEquations(slab[:, :m_c], blocks, slab[:, m_c:], g[:m_c], g[m_c:], m_c)
 
 
 def schur_reduce(ne: NormalEquations) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate the point blocks: returns (S, rhs) with S dtheta_cam = -rhs."""
-    s = ne.camera_block.copy()
-    rhs = ne.grad_cam.copy()
-    for i, blk in enumerate(ne.point_blocks):
-        e_i = ne.coupling[:, 3 * i : 3 * i + 3]
-        try:
-            inv = np.linalg.inv(blk)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"singular 3x3 point block {i}") from exc
-        s -= e_i @ inv @ e_i.T
-        rhs -= e_i @ inv @ ne.grad_pts[3 * i : 3 * i + 3]
+    try:
+        inv = np.linalg.inv(ne.point_blocks)
+    except np.linalg.LinAlgError as exc:  # name the first block whose LU has a zero pivot
+        i = int(np.argmin(np.abs(np.linalg.slogdet(ne.point_blocks)[0])))
+        raise np.linalg.LinAlgError(f"singular 3x3 point block {i}") from exc
+    e = ne.point_coupling()
+    e_inv = e @ inv
+    # term by term in point order (a summed total rounds differently), onto copies: no points, no alias
+    s = functools.reduce(np.subtract, e_inv @ e.transpose(0, 2, 1), ne.camera_block.copy())
+    rhs = functools.reduce(np.subtract, (e_inv @ ne.grad_pts.reshape(-1, 3, 1))[..., 0], ne.grad_cam.copy())
     return s, rhs
 
 
 def back_substitute(ne: NormalEquations, delta_cam: np.ndarray) -> np.ndarray:
     """Point steps from a camera step: dp_i = -C_i^{-1} (g_i + E_i^T dc)."""
-    out = np.zeros(3 * len(ne.point_blocks))
-    for i, blk in enumerate(ne.point_blocks):
-        e_i = ne.coupling[:, 3 * i : 3 * i + 3]
-        out[3 * i : 3 * i + 3] = -np.linalg.solve(blk, ne.grad_pts[3 * i : 3 * i + 3] + e_i.T @ delta_cam)
-    return out
+    rhs = ne.grad_pts.reshape(-1, 3) + ne.point_coupling().transpose(0, 2, 1) @ delta_cam
+    return -np.linalg.solve(ne.point_blocks, rhs[..., None]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

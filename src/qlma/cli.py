@@ -45,8 +45,9 @@ from .optimizer import (
 from .svg import write_line_plot
 
 DEFAULT_SEEDS = tuple(range(1, 10))
-CONFIG_KEYS = ("seeds", "setup", "backend", "iters", "out", "slices", "phase_qubits", "jobs", "timing", "noise_on")
-COMPARE_KEYS = ("seeds_b", "setup_b", "backend_b")  # the second configuration of `compare`
+RUN_KEYS = ("seeds", "setup", "backend", "iters", "out", "slices", "phase_qubits", "jobs", "timing", "noise_on")
+# compare writes no trace, so it takes no timing key but a second configuration
+COMPARE_KEYS = tuple(k for k in RUN_KEYS if k != "timing") + ("seeds_b", "setup_b", "backend_b")
 BACKEND_ALIASES = {
     "classical": "classical-schur",
     "classical-schur": "classical-schur",
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    valid_keys = CONFIG_KEYS + (COMPARE_KEYS if args.command == "compare" else ())
+    valid_keys = COMPARE_KEYS if args.command == "compare" else RUN_KEYS
     file_values = _load_config_file(args.config, valid_keys) if getattr(args, "config", None) else {}
 
     if args.command == "run":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qlma import jets
 from qlma.ba import (
     Camera,
+    NormalEquations,
     ProjectionError,
     Scene,
     _project_generic,
@@ -356,6 +357,109 @@ def test_point_blocks_are_block_diagonal():
         for j in range(10):
             if i != j:
                 assert np.allclose(pts[3 * i : 3 * i + 3, 3 * j : 3 * j + 3], 0.0)
+
+
+def dense_normal_equations_reference(residuals, jacobian, lam1, lam2, m_c):
+    """The dense assembly: full J^T J, damped, then sliced into blocks."""
+    jtj = jacobian.T @ jacobian
+    n = jtj.shape[0]
+    dtd = np.maximum(np.diag(jtj), 1e-12)
+    h = jtj + lam1 * np.diag(dtd) + lam2 * np.eye(n)
+    g = jacobian.T @ residuals
+    n_pts = (n - m_c) // 3
+    blocks = np.zeros((n_pts, 3, 3))
+    for i in range(n_pts):
+        s = m_c + 3 * i
+        blocks[i] = h[s : s + 3, s : s + 3]
+    return NormalEquations(h[:m_c, :m_c], blocks, h[:m_c, m_c:], g[:m_c], g[m_c:], m_c)
+
+
+def loop_schur_reference(ne):
+    """Schur reduction one point block at a time."""
+    s = ne.camera_block.copy()
+    rhs = ne.grad_cam.copy()
+    for i, blk in enumerate(ne.point_blocks):
+        e_i = ne.coupling[:, 3 * i : 3 * i + 3]
+        inv = np.linalg.inv(blk)
+        s -= e_i @ inv @ e_i.T
+        rhs -= e_i @ inv @ ne.grad_pts[3 * i : 3 * i + 3]
+    return s, rhs
+
+
+def loop_back_substitute_reference(ne, delta_cam):
+    """Back-substitution one point block at a time."""
+    out = np.zeros(3 * len(ne.point_blocks))
+    for i, blk in enumerate(ne.point_blocks):
+        e_i = ne.coupling[:, 3 * i : 3 * i + 3]
+        out[3 * i : 3 * i + 3] = -np.linalg.solve(blk, ne.grad_pts[3 * i : 3 * i + 3] + e_i.T @ delta_cam)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 400),
+    perturb=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    lam1=st.floats(1e-4, 1e2),
+    lam2=st.sampled_from([0.0, 1e-8, 1e-4, 0.01]),
+)
+def test_block_normal_equations_bit_identical_to_dense_reference(seed, perturb, lam1, lam2):
+    scene = generate_problem(seed).initial
+    theta = scene.initial_params()
+    if perturb is not None:
+        theta += np.random.default_rng(perturb).uniform(-0.02, 0.02, size=theta.size)
+    try:
+        r, jac = residuals_and_jacobian(scene, theta)
+    except ProjectionError:
+        return
+    ne = build_normal_equations(r, jac, lam1, lam2, m_c=12)
+    expected = dense_normal_equations_reference(r, jac, lam1, lam2, 12)
+    for name in ("camera_block", "point_blocks", "coupling", "grad_cam", "grad_pts"):
+        assert getattr(ne, name).tobytes() == getattr(expected, name).tobytes(), name
+    s, rhs = schur_reduce(ne)
+    s_ref, rhs_ref = loop_schur_reference(expected)
+    assert s.tobytes() == s_ref.tobytes() and rhs.tobytes() == rhs_ref.tobytes()
+    cam = np.linalg.solve(s, -rhs)
+    assert back_substitute(ne, cam).tobytes() == loop_back_substitute_reference(expected, cam).tobytes()
+
+
+def test_jacobian_row_touching_two_point_blocks_raises():
+    jac = structured_jacobian(np.random.default_rng(5))
+    jac[3, 12] = 1.0  # row 3 observes point 1 and now also touches point 0
+    with pytest.raises(ValueError, match="not 3x3 block diagonal"):
+        build_normal_equations(np.ones(jac.shape[0]), jac, 0.1, 0.0, m_c=12)
+
+
+def test_singular_point_block_names_its_index():
+    jac = structured_jacobian(np.random.default_rng(6), n_pts=3)
+    jac[:, 12 + 3 * 2 :] = 0.0  # point 2 is never observed
+    ne = build_normal_equations(np.ones(jac.shape[0]), jac, 0.0, 0.0, m_c=12)
+    with pytest.raises(np.linalg.LinAlgError, match="singular 3x3 point block 2"):
+        schur_reduce(ne)
+
+
+def test_schur_without_points_returns_a_copy():
+    jac = np.random.default_rng(7).normal(size=(8, 5))
+    ne = build_normal_equations(np.ones(8), jac, 0.1, 0.0)
+    s, rhs = schur_reduce(ne)
+    assert np.array_equal(s, ne.camera_block) and not np.shares_memory(s, ne.camera_block)
+    assert np.array_equal(rhs, ne.grad_cam) and not np.shares_memory(rhs, ne.grad_cam)
+
+
+def test_singular_point_block_rejects_the_candidate(monkeypatch):
+    from qlma import optimizer
+    from qlma.optimizer import SETUPS, LinearBackend, optimize
+
+    real = optimizer.build_normal_equations
+
+    def unobserved_point(residuals, jacobian, lam1, lam2, m_c=None):
+        ne = real(residuals, jacobian, lam1, lam2, m_c=m_c)
+        ne.point_blocks[4] = 0.0
+        return ne
+
+    monkeypatch.setattr(optimizer, "build_normal_equations", unobserved_point)
+    trace = optimize(generate_problem(1), SETUPS[1], LinearBackend("classical-schur"), max_iters=2)
+    assert [rec.accepted for rec in trace.records] == [False, False]
+    assert all(rec.step_norm == 0.0 for rec in trace.records)
 
 
 # ---------------------------------------------------------------------------

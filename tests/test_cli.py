@@ -265,6 +265,16 @@ def test_compare_accepts_second_configuration_keys(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
 
 
+def test_compare_rejects_timing_key(tmp_path, capsys):
+    cfg = tmp_path / "qlma.cfg"
+    cfg.write_text("seeds=1\niters=1\ntiming=1\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qlma: error:") and "unknown config key 'timing'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["run", "--seeds", "1", "--iters", "1"], ["gen", "--seeds", "1"]])
 def test_non_integer_seed_offset_fails_with_one_line(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("QLMA_SEED_OFFSET", "x")

@@ -102,6 +102,26 @@ def test_embed_dilated_system_solves_original():
     assert np.allclose(y[half : half + 3], np.linalg.solve(m, b), atol=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    symmetric=st.booleans(),
+    force_dilation=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_project_solution_recovers_the_original_solve(dim, symmetric, force_dilation, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    if symmetric:
+        a = (a + a.T) / 2.0
+    a += 3.0 * math.sqrt(dim) * np.eye(dim)  # keeps the system well conditioned
+    b = rng.normal(size=dim)
+    prob = embed_problem(a, b, force_dilation=force_dilation)
+    got = project_solution(prob, np.linalg.solve(prob.matrix, prob.rhs)) * prob.rhs_norm
+    expected = np.linalg.solve(a, b)
+    assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 def test_embed_rejects_zero_rhs():
     with pytest.raises(HhlError):
         embed_problem(np.eye(2), np.zeros(2))

@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlma.ba import generate_problem, residuals_and_jacobian, total_cost
 from qlma.hhl import HhlConfig
@@ -57,6 +62,21 @@ def test_damping_literal_sign_variant():
     cfg = DampingConfig(0.01, 0.01, 1.5, 0.7, literal_thresholds=True)
     # literal reading: decrease when dcost < -omega/2 = +0.5
     assert update_damping(1.0, -1.0, -0.3, cfg) == pytest.approx(0.7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.floats(1e-8, 1e8),
+    omega=st.floats(-1e6, 1e6),
+    dcosts=st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(math.inf)), min_size=2, max_size=6),
+    setup=st.sampled_from([1, 2]),
+    literal=st.booleans(),
+)
+def test_damping_update_never_falls_as_cost_change_grows(lam, omega, dcosts, setup, literal):
+    cfg = dataclasses.replace(SETUPS[setup], literal_thresholds=literal)
+    results = [update_damping(lam, omega, d, cfg) for d in sorted(dcosts)]
+    assert set(results) <= {lam * cfg.lambda_up, lam, lam * cfg.lambda_down}
+    assert results == sorted(results)
 
 
 def test_damping_config_validation():
