@@ -54,7 +54,6 @@ from .sim import (
 from .trotter import (
     EvolutionSpec,
     HermitianDecomposition,
-    QpeLayout,
     decompose_hermitian,
     inverse_qft_circuit,
     qpe_circuit,

@@ -97,12 +97,20 @@ class RunConfig:
 
 
 def _offset_seeds(seeds) -> tuple[int, ...]:
+    """The seeds shifted by QLMA_SEED_OFFSET; each must be non-negative and
+    appear once."""
     text = os.environ.get("QLMA_SEED_OFFSET", "0")
     try:
         offset = int(text)
     except ValueError:
         raise InputError(f"QLMA_SEED_OFFSET must be an integer, got {text!r}") from None
-    return tuple(int(s) + offset for s in seeds)
+    shifted = tuple(int(s) + offset for s in seeds)
+    for seed in shifted:
+        if seed < 0:
+            raise InputError(f"seeds must be non-negative, got {seed} (QLMA_SEED_OFFSET={offset})")
+        if shifted.count(seed) > 1:
+            raise InputError(f"seed {seed} is repeated (QLMA_SEED_OFFSET={offset})")
+    return shifted
 
 
 def _run_one(job: tuple[int, RunConfig]) -> ConvergenceTrace:
@@ -277,6 +285,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
+def _parse_switch(text: str) -> bool:
+    """0, 1, false or true, in any letter case."""
+    value = {"0": False, "1": True, "false": False, "true": True}.get(text.lower())
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
 def _load_config_file(path: str, valid_keys: tuple[str, ...]) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -373,7 +389,7 @@ def _run_config_from(args: argparse.Namespace, file_values: dict[str, str], suff
         trotter_slices=_resolve(args, file_values, "slices", 50, int),
         phase_qubits=_resolve(args, file_values, "phase_qubits", 3, int),
         jobs=_resolve(args, file_values, "jobs", 1, int),
-        timing=bool(_resolve(args, file_values, "timing", False, lambda v: v not in ("0", "false", ""))),
+        timing=_resolve(args, file_values, "timing", False, _parse_switch),
         noise_on=_resolve(args, file_values, "noise_on", "points3d", str),
     )
 

@@ -43,7 +43,6 @@ from .trotter import (
     HERMITIAN_TOL,
     EvolutionSpec,
     HermitianDecomposition,
-    QpeLayout,
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
@@ -194,28 +193,28 @@ def bin_phase(value: int, n_phase_qubits: int) -> float:
     return (value - 2**n_phase_qubits) / 2**n_phase_qubits
 
 
-def state_preparation_circuit(rhs: np.ndarray, data_qubits: list[int]) -> Circuit:
-    """Exact amplitude encoding of a real unit vector on the data register.
+def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
+    """Exact amplitude encoding of a real unit vector of length 2**k on the
+    data register, qubits 0..k-1.
 
-    |0..0> maps to sum_i rhs_i |i> with data_qubits[0] the least significant
-    bit of i.  Uniform all-positive vectors become a Hadamard per qubit;
-    anything else becomes a binary tree of polarity-controlled Y rotations.
+    |0..0> maps to sum_i rhs_i |i>.  Uniform all-positive vectors become a
+    Hadamard per qubit; anything else becomes a binary tree of
+    polarity-controlled Y rotations.
     """
     v = np.asarray(rhs, dtype=float)
-    k = len(data_qubits)
-    if v.shape != (2**k,):
-        raise HhlError("rhs length does not match the data register")
+    k = v.size.bit_length() - 1
+    if v.ndim != 1 or k < 1 or v.size != 2**k:
+        raise HhlError(f"rhs length {v.size} is not a power of two of at least 2")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise HhlError("rhs must be normalized")
-    n_qubits = max(data_qubits) + 1
 
     if np.allclose(v, 1.0 / math.sqrt(2**k), atol=1e-12):
-        return Circuit(n_qubits, tuple(h(q) for q in data_qubits))
+        return Circuit(k, tuple(h(q) for q in range(k)))
 
     ops: list[GateOp] = []
 
     def descend(sub: np.ndarray, depth: int, controls: list[tuple[int, int]]) -> None:
-        qubit = data_qubits[k - 1 - depth]
+        qubit = k - 1 - depth
         half = sub.size // 2
         left, right = sub[:half], sub[half:]
         if half == 1:
@@ -234,24 +233,25 @@ def state_preparation_circuit(rhs: np.ndarray, data_qubits: list[int]) -> Circui
             descend(right, depth + 1, controls + [(qubit, 1)])
 
     descend(v, 0, [])
-    return Circuit(n_qubits, tuple(ops))
+    return Circuit(k, tuple(ops))
 
 
 def inversion_rotation_circuit(
-    layout: QpeLayout,
+    phase_qubits: list[int],
     ancilla: int,
     inversion_constant: float,
     bin_eigenvalues: list[float | None] | None = None,
 ) -> Circuit:
     """Per-register-value ancilla rotations encoding reciprocal eigenvalues.
 
-    For each phase-register value v with eigenvalue lam, rotates the ancilla
-    by 2*arcsin(C/lam), turning |0> into sqrt(1 - C^2/lam^2)|0> + (C/lam)|1>.
-    Register value 0 is never rotated.  bin_eigenvalues[v] = None skips a
-    bin (the caller asserting it is unreachable); otherwise C/|lam| > 1
-    raises.  Default bins are the signed grid v/2**m.
+    For each phase-register value v (phase_qubits[j] holds bit j of v) with
+    eigenvalue lam, rotates the ancilla by 2*arcsin(C/lam), turning |0> into
+    sqrt(1 - C^2/lam^2)|0> + (C/lam)|1>.  Register value 0 is never
+    rotated.  bin_eigenvalues[v] = None skips a bin (the caller asserting it
+    is unreachable); otherwise C/|lam| > 1 raises.  Default bins are the
+    signed grid v/2**m.
     """
-    m = layout.n_phase_qubits
+    m = len(phase_qubits)
     if bin_eigenvalues is None:
         bin_eigenvalues = [bin_phase(v, m) if v else None for v in range(2**m)]
     if len(bin_eigenvalues) != 2**m:
@@ -268,8 +268,8 @@ def inversion_rotation_circuit(
             )
         angle = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
         states = tuple((value >> j) & 1 for j in range(m))
-        ops.append(cry(angle, ancilla, layout.phase_qubits, states))
-    return Circuit(max(ancilla, layout.n_qubits - 1) + 1, tuple(ops))
+        ops.append(cry(angle, ancilla, phase_qubits, states))
+    return Circuit(max((ancilla, *phase_qubits)) + 1, tuple(ops))
 
 
 def minimal_hhl_circuit() -> Circuit:
@@ -349,9 +349,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     m = config.n_phase_qubits
     n = k + m + 1
     ancilla = k + m
-    data_qubits = list(range(k))
     phase_qubits = list(range(k, k + m))
-    layout = QpeLayout(m, tuple(data_qubits), tuple(phase_qubits))
 
     bound = config.lambda_bound if config.lambda_bound is not None else spectral_bound(problem.matrix)
     if bound <= 0.0:
@@ -365,7 +363,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     # one-phase-qubit power would multiply a single row, and numpy's
     # matrix-vector product rounds differently from its matrix product.
     state = StateVector.zero(k)
-    for op in state_preparation_circuit(problem.rhs, data_qubits).ops:
+    for op in state_preparation_circuit(problem.rhs).ops:
         state = apply_gate(state, op)
     state = _zero_extend(state, k + m)
 
@@ -399,9 +397,8 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
             raise HhlError(
                 f"inversion constant {constant} is invalid for reachable register value {v}"
             )
-    inversion = inversion_rotation_circuit(layout, ancilla, constant, bins)
-    state = _zero_extend(state, n)
-    state = apply_circuit(state, Circuit(n, inversion.ops))
+    inversion = inversion_rotation_circuit(phase_qubits, ancilla, constant, bins)
+    state = apply_circuit(_zero_extend(state, n), inversion)
 
     # The uncompute keeps all n qubits: each controlled power renormalizes
     # by the norm of both ancilla branches together.
@@ -449,9 +446,7 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
     """
     k = problem.n_data_qubits
     m = config.n_phase_qubits
-    data_qubits = list(range(k))
     phase_qubits = list(range(k, k + m))
-    layout = QpeLayout(m, tuple(data_qubits), tuple(phase_qubits))
 
     def add(
         total: tuple[int, int, dict[str, int]],
@@ -481,10 +476,10 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
     phase_gates = (2 * m, 0, {"u": 2 * m}) if has_identity else (0, 0, {})
 
     total: tuple[int, int, dict[str, int]] = (0, 0, {})
-    total = add(total, gate_counts(state_preparation_circuit(problem.rhs, data_qubits)))
+    total = add(total, gate_counts(state_preparation_circuit(problem.rhs)))
     total = add(total, hadamards)
     total = add(total, slice_tally, factor=config.slices * powers)
     total = add(total, phase_gates)
     total = add(total, gate_counts(inverse_qft_circuit(phase_qubits)), factor=2)
-    total = add(total, gate_counts(inversion_rotation_circuit(layout, k + m, 1.0 / 2**m)))
+    total = add(total, gate_counts(inversion_rotation_circuit(phase_qubits, k + m, 1.0 / 2**m)))
     return total

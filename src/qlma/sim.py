@@ -191,32 +191,8 @@ class Circuit:
         return len(self.ops)
 
 
-def concat(*circuits: Circuit) -> Circuit:
-    n = max(c.n_qubits for c in circuits)
-    ops: list[GateOp] = []
-    for c in circuits:
-        ops.extend(c.ops)
-    return Circuit(n, tuple(ops))
-
-
 def inverse_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(dagger(op) for op in reversed(circuit.ops)))
-
-
-def remap_circuit(circuit: Circuit, mapping: dict[int, int], n_qubits: int) -> Circuit:
-    """Relabel qubits through `mapping` (identity for unmapped indices)."""
-    ops = []
-    for op in circuit.ops:
-        ops.append(
-            GateOp(
-                op.kind,
-                mapping.get(op.target, op.target),
-                tuple(mapping.get(c, c) for c in op.controls),
-                op.control_states,
-                op.params,
-            )
-        )
-    return Circuit(n_qubits, tuple(ops))
 
 
 @dataclass(frozen=True)

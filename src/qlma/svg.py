@@ -14,30 +14,25 @@ def _finite(values):
     return [v for v in values if v is not None and math.isfinite(v)]
 
 
-def write_line_plot(path, series: dict[str, tuple[list, list]], title: str = "", ylog: bool = True) -> None:
+def write_line_plot(path, series: dict[str, tuple[list, list]], title: str = "") -> None:
     """Write polyline curves with log-y decade ticks.
 
     series maps a label to (xs, ys); non-finite or non-positive y values
-    are dropped from log plots.
+    are dropped.
     """
     xs_all, ys_all = [], []
     for xs, ys in series.values():
         xs_all.extend(_finite(xs))
-        ys_all.extend(v for v in _finite(ys) if not ylog or v > 0)
+        ys_all.extend(v for v in _finite(ys) if v > 0)
     if not xs_all or not ys_all:
         xs_all, ys_all = [0.0, 1.0], [1.0, 1.0]
     x_min, x_max = min(xs_all), max(xs_all)
     y_min, y_max = min(ys_all), max(ys_all)
     if x_max == x_min:
         x_max = x_min + 1.0
-    if ylog:
-        y_lo, y_hi = math.floor(math.log10(y_min)), math.ceil(math.log10(y_max))
-        if y_hi == y_lo:
-            y_hi += 1
-    else:
-        if y_max == y_min:
-            y_max = y_min + 1.0
-        y_lo, y_hi = y_min, y_max
+    y_lo, y_hi = math.floor(math.log10(y_min)), math.ceil(math.log10(y_max))
+    if y_hi == y_lo:
+        y_hi += 1
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -46,10 +41,7 @@ def write_line_plot(path, series: dict[str, tuple[list, list]], title: str = "",
         return MARGIN_L + plot_w * (x - x_min) / (x_max - x_min)
 
     def py(y):
-        if ylog:
-            t = (math.log10(y) - y_lo) / (y_hi - y_lo)
-        else:
-            t = (y - y_lo) / (y_hi - y_lo)
+        t = (math.log10(y) - y_lo) / (y_hi - y_lo)
         return MARGIN_T + plot_h * (1.0 - t)
 
     parts = [
@@ -73,31 +65,23 @@ def write_line_plot(path, series: dict[str, tuple[list, list]], title: str = "",
             f'<text x="{px(x):.2f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
             f'font-size="11" font-family="sans-serif">{x:.0f}</text>'
         )
-    if ylog:
-        for d in range(int(y_lo), int(y_hi) + 1):
-            y = 10.0**d
-            parts.append(
-                f'<line x1="{MARGIN_L - 5}" y1="{py(y):.2f}" x2="{MARGIN_L + plot_w}" '
-                f'y2="{py(y):.2f}" stroke="#ddd"/>'
-            )
-            parts.append(
-                f'<text x="{MARGIN_L - 10}" y="{py(y) + 4:.2f}" text-anchor="end" '
-                f'font-size="11" font-family="sans-serif">1e{d}</text>'
-            )
-    else:
-        for i in range(6):
-            y = y_lo + (y_hi - y_lo) * i / 5
-            parts.append(
-                f'<text x="{MARGIN_L - 10}" y="{py(y) + 4:.2f}" text-anchor="end" '
-                f'font-size="11" font-family="sans-serif">{y:.3g}</text>'
-            )
+    for d in range(int(y_lo), int(y_hi) + 1):
+        y = 10.0**d
+        parts.append(
+            f'<line x1="{MARGIN_L - 5}" y1="{py(y):.2f}" x2="{MARGIN_L + plot_w}" '
+            f'y2="{py(y):.2f}" stroke="#ddd"/>'
+        )
+        parts.append(
+            f'<text x="{MARGIN_L - 10}" y="{py(y) + 4:.2f}" text-anchor="end" '
+            f'font-size="11" font-family="sans-serif">1e{d}</text>'
+        )
 
     for idx, (label, (xs, ys)) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         pts = [
             f"{px(x):.2f},{py(y):.2f}"
             for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not ylog or y > 0)
+            if math.isfinite(x) and math.isfinite(y) and y > 0
         ]
         if pts:
             parts.append(

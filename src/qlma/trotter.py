@@ -24,7 +24,6 @@ from .sim import (
     dagger,
     h,
     inverse_circuit,
-    remap_circuit,
     u,
 )
 
@@ -293,43 +292,16 @@ def inverse_qft_circuit(qubits: list[int]) -> Circuit:
     return inverse_circuit(_qft_circuit(list(qubits)))
 
 
-@dataclass(frozen=True)
-class QpeLayout:
-    """Qubit roles for phase estimation."""
-
-    n_phase_qubits: int
-    data_qubits: tuple[int, ...]
-    phase_qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "data_qubits", tuple(self.data_qubits))
-        object.__setattr__(self, "phase_qubits", tuple(self.phase_qubits))
-        if len(self.phase_qubits) != self.n_phase_qubits:
-            raise SimulationError("phase register size mismatch")
-        if set(self.data_qubits) & set(self.phase_qubits):
-            raise SimulationError("phase and data registers overlap")
-
-    @property
-    def n_qubits(self) -> int:
-        return max((*self.data_qubits, *self.phase_qubits)) + 1
-
-
-def qpe_circuit(spec: EvolutionSpec, layout: QpeLayout) -> Circuit:
+def qpe_circuit(spec: EvolutionSpec, phase_qubits: list[int]) -> Circuit:
     """Phase estimation: Hadamards, controlled powers, inverse transform.
 
-    With an eigenvector on the data register whose eigenphase is an exact
-    m-bit fraction K / 2**m, the phase register ends in |K> (phase_qubits[j]
-    holds bit j of K).
+    The data register is the operator's own qubits 0..k-1; phase_qubits
+    must lie above it.  With an eigenvector on the data register whose
+    eigenphase is an exact m-bit fraction K / 2**m, the phase register ends
+    in |K> (phase_qubits[j] holds bit j of K).
     """
-    if len(layout.data_qubits) != spec.decomposition.n_qubits:
-        raise SimulationError("layout data register does not match the operator size")
-    ops: list[GateOp] = [h(q) for q in layout.phase_qubits]
-    mapping = {i: q for i, q in enumerate(layout.data_qubits)}
-    k = spec.decomposition.n_qubits
-    for j, q in enumerate(layout.phase_qubits):
-        ctrl = trotter_circuit(spec, controlled_by=(k, j))
-        mapping_j = dict(mapping)
-        mapping_j[k] = q
-        ops.extend(remap_circuit(ctrl, mapping_j, layout.n_qubits).ops)
-    ops.extend(inverse_qft_circuit(list(layout.phase_qubits)).ops)
-    return Circuit(layout.n_qubits, tuple(ops))
+    ops: list[GateOp] = [h(q) for q in phase_qubits]
+    for j, q in enumerate(phase_qubits):
+        ops.extend(trotter_circuit(spec, controlled_by=(q, j)).ops)
+    ops.extend(inverse_qft_circuit(list(phase_qubits)).ops)
+    return Circuit(max(phase_qubits) + 1, tuple(ops))

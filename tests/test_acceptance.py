@@ -122,12 +122,12 @@ def test_acceptance_trotter_error_slopes():
 
 def test_acceptance_phase_estimation_exact_grid():
     from qlma.sim import apply_circuit
-    from qlma.trotter import QpeLayout, qpe_circuit
+    from qlma.trotter import qpe_circuit
 
     for k in range(8):
-        layout = QpeLayout(3, (0,), (1, 2, 3))
+        phase_qubits = [1, 2, 3]
         spec = EvolutionSpec(decompose_hermitian(np.diag([0.0, k / 8.0])), -2 * math.pi, 1, 2)
-        circ = qpe_circuit(spec, layout)
+        circ = qpe_circuit(spec, phase_qubits)
         amps = np.zeros(16, dtype=complex)
         amps[1] = 1.0  # eigenvector |1> of the diagonal operator
         state = apply_circuit(StateVector(4, amps), circ)

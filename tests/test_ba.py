@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -546,6 +549,34 @@ def test_problem_round_trip(tmp_path):
     for key, uv in prob.truth.observations.items():
         assert np.array_equal(loaded.truth.observations[key], uv)
     assert total_cost(loaded.initial) == total_cost(prob.initial)
+
+
+def _problem_fields(problem):
+    """Every field of a problem, cameras and observations included, as
+    (name, shape, bytes)."""
+    def field(name, value):
+        value = np.asarray(value)
+        return name, value.shape, value.dtype, value.tobytes()
+
+    out = [field("seed", problem.seed), field("observation_points", problem.observation_points)]
+    for name, scene in (("truth", problem.truth), ("initial", problem.initial)):
+        out.append(field(f"{name}.points", scene.points))
+        for j, cam in enumerate(scene.cameras):
+            for f in dataclasses.fields(cam):
+                out.append(field(f"{name}.cameras[{j}].{f.name}", getattr(cam, f.name)))
+        out.extend(field(f"{name}.observations[{key}]", uv) for key, uv in sorted(scene.observations.items()))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 200), noise_on=st.sampled_from(["points3d", "keypoints"]))
+def test_problem_round_trip_is_bit_equal(seed, noise_on):
+    problem = generate_problem(seed, noise_on=noise_on)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.txt")
+        save_problem(problem, path)
+        loaded = load_problem(path)
+    assert _problem_fields(loaded) == _problem_fields(problem)
 
 
 def _saved_lines(tmp_path):

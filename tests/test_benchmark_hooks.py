@@ -1,5 +1,6 @@
-"""The benchmark's tracer (perfbench/tracing.py) patches qlma attributes by
-name; a renamed or deleted one would make every traced run fail."""
+"""The benchmark (perfbench/) patches qlma attributes by name in its tracer
+and imports qlma names in its worker; a renamed or deleted one would make
+every benchmark run fail."""
 
 import dataclasses
 import importlib
@@ -10,7 +11,8 @@ import pytest
 
 from qlma.hhl import HermitianProblem
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -27,3 +29,11 @@ def test_every_traced_attribute_exists(module_name, attr, span):
 
 def test_step_error_reads_problem_scale():
     assert "scale" in {f.name for f in dataclasses.fields(HermitianProblem)}
+
+
+def test_worker_imports_and_builds_every_workload_config(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    for w in worker.WORKLOADS:
+        config = worker.run_config(w, 0, tmp_path)
+        assert config.output_dir == str(tmp_path), w

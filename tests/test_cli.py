@@ -241,6 +241,8 @@ def test_run_batch_raises_when_a_seed_fails(monkeypatch):
         ("setup=3\n", "setup must be 1 or 2"),
         ("noise_on=pixels\n", "noise_on must be points3d or keypoints, got 'pixels'"),
         ("iters\n", "expected key=value"),
+        ("timing=yes\n", "config key 'timing' has an invalid value 'yes'"),
+        ("timing=\n", "config key 'timing' has an invalid value ''"),
     ],
 )
 def test_bad_config_file_fails_with_one_line(tmp_path, capsys, text, message):
@@ -338,4 +340,32 @@ def test_bad_seed_offset_leaves_no_output_directory(tmp_path, monkeypatch, comma
     monkeypatch.setenv("QLMA_SEED_OFFSET", "1.5")
     out = tmp_path / "out"
     assert main(command + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, timed", [("False", False), ("0", False), ("TRUE", True), ("1", True)])
+def test_config_timing_switch(tmp_path, value, timed):
+    cfg = tmp_path / "qlma.cfg"
+    cfg.write_text(f"seeds=1\niters=2\nbackend=classical\ntiming={value}\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "trace_seed1.csv")
+    assert [float(r["seconds"]) > 0.0 for r in rows] == [timed] * len(rows)
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize(
+    "seeds, offset, message",
+    [
+        ("1", "-5", "seeds must be non-negative, got -4 (QLMA_SEED_OFFSET=-5)"),
+        ("-1", "0", "seeds must be non-negative, got -1 (QLMA_SEED_OFFSET=0)"),
+        ("1,1,2", "0", "seed 1 is repeated (QLMA_SEED_OFFSET=0)"),
+        ("3,1,2,1", "10", "seed 11 is repeated (QLMA_SEED_OFFSET=10)"),
+    ],
+)
+def test_bad_seeds_fail_with_one_line(tmp_path, monkeypatch, capsys, command, seeds, offset, message):
+    monkeypatch.setenv("QLMA_SEED_OFFSET", offset)
+    out = tmp_path / "out"
+    assert main([command, "--seeds", seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"qlma: error: {message}\n"
     assert not out.exists()

@@ -38,7 +38,6 @@ from qlma.sim import (
 )
 from qlma.trotter import (
     EvolutionSpec,
-    QpeLayout,
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
@@ -140,14 +139,14 @@ def test_spectral_bound_covers_eigenvalues():
 # ---------------------------------------------------------------------------
 
 def test_preparation_basis_vector_is_empty():
-    c = state_preparation_circuit(np.array([1.0, 0.0]), [0])
+    c = state_preparation_circuit(np.array([1.0, 0.0]))
     assert len(c.ops) == 0
 
 
 def test_preparation_uniform_is_hadamards():
-    c = state_preparation_circuit(np.array([1.0, 1.0]) / math.sqrt(2), [0])
+    c = state_preparation_circuit(np.array([1.0, 1.0]) / math.sqrt(2))
     assert [op.kind for op in c.ops] == ["h"]
-    c = state_preparation_circuit(np.full(4, 0.5), [0, 1])
+    c = state_preparation_circuit(np.full(4, 0.5))
     assert [op.kind for op in c.ops] == ["h", "h"]
 
 
@@ -157,39 +156,50 @@ def test_preparation_encodes_random_real_vectors(trial):
     k = rng.integers(1, 4)
     v = rng.normal(size=2**k)
     v /= np.linalg.norm(v)
-    circ = state_preparation_circuit(v, list(range(k)))
+    circ = state_preparation_circuit(v)
     out = apply_circuit(StateVector.zero(k), circ)
     assert np.allclose(out.amplitudes, v, atol=1e-12)
 
 
 def test_preparation_handles_signs_and_zeros():
     v = np.array([0.0, -0.6, 0.0, 0.8])
-    out = apply_circuit(StateVector.zero(2), state_preparation_circuit(v, [0, 1]))
+    out = apply_circuit(StateVector.zero(2), state_preparation_circuit(v))
     assert np.allclose(out.amplitudes, v, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.9))
+def test_preparation_amplitudes_property(k, seed, zeros):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**k) * (rng.random(2**k) >= zeros)
+    v[rng.integers(2**k)] = rng.choice([-1.0, 1.0])  # at least one nonzero
+    v /= np.linalg.norm(v)
+    out = apply_circuit(StateVector.zero(k), state_preparation_circuit(v))
+    assert np.max(np.abs(out.amplitudes - v)) <= 1e-12
 
 
 def test_preparation_rejects_unnormalized():
     with pytest.raises(HhlError):
-        state_preparation_circuit(np.array([1.0, 1.0]), [0])
+        state_preparation_circuit(np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
 # inversion rotation
 # ---------------------------------------------------------------------------
 
-def _ancilla_amplitudes(layout, ancilla, constant, bins, register_value):
-    circ = inversion_rotation_circuit(layout, ancilla, constant, bins)
+def _ancilla_amplitudes(phase_qubits, ancilla, constant, bins, register_value):
+    circ = inversion_rotation_circuit(phase_qubits, ancilla, constant, bins)
     n = ancilla + 1
     amps = np.zeros(2**n, dtype=complex)
-    amps[register_value << len(layout.data_qubits)] = 1.0
-    # layout data register occupies the low bits here
+    amps[register_value << phase_qubits[0]] = 1.0
+    # a one-qubit data register occupies the low bit here
     state = apply_circuit(StateVector(n, amps), circ)
     dist = measure_distribution(state, [ancilla])
     return math.sqrt(dist.get(0, 0.0)), math.sqrt(dist.get(1, 0.0))
 
 
 def _layout(m):
-    return QpeLayout(m, (0,), tuple(range(1, 1 + m)))
+    return list(range(1, 1 + m))
 
 
 def test_inversion_full_flip_at_unit_ratio():
@@ -379,17 +389,17 @@ def test_uncompute_returns_phase_register_to_zero():
     b = np.array([1.0, 1.0]) / math.sqrt(2)
     prob = embed_problem(FLIP, b)
     k, m = 1, 3
-    layout = QpeLayout(m, (0,), tuple(range(k, k + m)))
+    phase_qubits = list(range(k, k + m))
     spec = EvolutionSpec(decompose_hermitian(prob.matrix), -math.pi / 1.0, 50, 2)
     n = k + m + 1
     state = StateVector.zero(n)
-    state = apply_circuit(state, Circuit(n, state_preparation_circuit(prob.rhs, [0]).ops))
-    forward = qpe_circuit(spec, layout)
+    state = apply_circuit(state, Circuit(n, state_preparation_circuit(prob.rhs).ops))
+    forward = qpe_circuit(spec, phase_qubits)
     state = apply_circuit(state, Circuit(n, forward.ops))
-    inv = inversion_rotation_circuit(layout, k + m, 1.0 / 8.0)  # valid for all grid bins
+    inv = inversion_rotation_circuit(phase_qubits, k + m, 1.0 / 8.0)  # valid for all grid bins
     state = apply_circuit(state, Circuit(n, inv.ops))
     state = apply_circuit(state, Circuit(n, inverse_circuit(forward).ops))
-    register = measure_distribution(state, list(layout.phase_qubits))
+    register = measure_distribution(state, phase_qubits)
     assert register.get(0, 0.0) >= 1.0 - 1e-9
 
 
@@ -418,13 +428,13 @@ def test_gate_tally_structure():
 
 def _reference_setup(problem, config):
     k, m = problem.n_data_qubits, config.n_phase_qubits
-    layout = QpeLayout(m, tuple(range(k)), tuple(range(k, k + m)))
+    phase_qubits = list(range(k, k + m))
     bound = config.lambda_bound if config.lambda_bound is not None else spectral_bound(problem.matrix)
     spec = EvolutionSpec(decompose_hermitian(problem.matrix), -math.pi / bound, config.slices, config.order)
-    return k, m, k + m + 1, layout, bound, spec
+    return k, m, k + m + 1, phase_qubits, bound, spec
 
 
-def _reference_inversion(register, config, layout, ancilla):
+def _reference_inversion(register, config, phase_qubits, ancilla):
     """The inversion constant and rotations hhl_solve picks for a register
     distribution."""
     m = config.n_phase_qubits
@@ -442,7 +452,7 @@ def _reference_inversion(register, config, layout, ancilla):
             bins[v] = lam
         elif v in reachable:
             raise HhlError(f"inversion constant {constant} is invalid for reachable register value {v}")
-    return constant, inversion_rotation_circuit(layout, ancilla, constant, bins)
+    return constant, inversion_rotation_circuit(phase_qubits, ancilla, constant, bins)
 
 
 def _reference_readout(problem, state, k, m, constant, bound):
@@ -470,12 +480,12 @@ def _reference_readout(problem, state, k, m, constant, bound):
 def gate_level_hhl_solve(problem, config):
     """The pipeline with the fully unrolled gate evolution on all k+m+1
     qubits: phase estimation by qpe_circuit, the uncompute as its inverse."""
-    k, m, n, layout, bound, spec = _reference_setup(problem, config)
-    forward = Circuit(n, qpe_circuit(spec, layout).ops)
-    state = apply_circuit(StateVector.zero(n), Circuit(n, state_preparation_circuit(problem.rhs, list(range(k))).ops))
+    k, m, n, phase_qubits, bound, spec = _reference_setup(problem, config)
+    forward = Circuit(n, qpe_circuit(spec, phase_qubits).ops)
+    state = apply_circuit(StateVector.zero(n), Circuit(n, state_preparation_circuit(problem.rhs).ops))
     state = apply_circuit(state, forward)
-    register = measure_distribution(state, list(layout.phase_qubits))
-    constant, inversion = _reference_inversion(register, config, layout, k + m)
+    register = measure_distribution(state, phase_qubits)
+    constant, inversion = _reference_inversion(register, config, phase_qubits, k + m)
     state = apply_circuit(state, Circuit(n, inversion.ops))
     state = apply_circuit(state, inverse_circuit(forward))
     return (*_reference_readout(problem, state, k, m, constant, bound), register)
@@ -484,11 +494,10 @@ def gate_level_hhl_solve(problem, config):
 def full_register_hhl_solve(problem, config):
     """Reference: the matrix path with all k+m+1 qubits from the state
     preparation through the uncompute, ancilla included throughout."""
-    k, m, n, layout, bound, spec = _reference_setup(problem, config)
-    phase_qubits = list(layout.phase_qubits)
+    k, m, n, phase_qubits, bound, spec = _reference_setup(problem, config)
 
     state = StateVector.zero(n)
-    for op in state_preparation_circuit(problem.rhs, list(range(k))).ops:
+    for op in state_preparation_circuit(problem.rhs).ops:
         state = apply_gate(state, op)
     iqft = inverse_qft_circuit(phase_qubits)
     for q in phase_qubits:
@@ -501,7 +510,7 @@ def full_register_hhl_solve(problem, config):
     state = apply_circuit(StateVector(n, amps), Circuit(n, iqft.ops))
 
     register = measure_distribution(state, phase_qubits)
-    constant, inversion = _reference_inversion(register, config, layout, k + m)
+    constant, inversion = _reference_inversion(register, config, phase_qubits, k + m)
     state = apply_circuit(state, Circuit(n, inversion.ops))
 
     state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))

@@ -13,7 +13,6 @@ from qlma.sim import (
     apply_circuit,
     apply_gate,
     circuit_unitary,
-    concat,
     cry,
     cu,
     cx,
@@ -112,7 +111,7 @@ def test_circuit_composition_associates():
     c1 = Circuit(2, (h(0), cx(0, 1)))
     c2 = Circuit(2, (u(1, 0.3, 0.1, -0.4), cx(1, 0)))
     s = random_state(2)
-    joined = apply_circuit(s, concat(c1, c2))
+    joined = apply_circuit(s, Circuit(2, c1.ops + c2.ops))
     split = apply_circuit(apply_circuit(s, c1), c2)
     assert np.allclose(joined.amplitudes, split.amplitudes, atol=1e-12)
 

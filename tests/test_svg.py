@@ -31,6 +31,6 @@ def test_plot_drops_nonpositive_points_on_log_axis(tmp_path):
 
 def test_plot_survives_empty_and_constant_series(tmp_path):
     write_line_plot(tmp_path / "empty.svg", {"s": ([], [])})
-    write_line_plot(tmp_path / "const.svg", {"s": ([1, 2], [3.0, 3.0])}, ylog=False)
+    write_line_plot(tmp_path / "const.svg", {"s": ([1, 2], [10.0, 10.0])})
     assert (tmp_path / "empty.svg").exists()
     assert (tmp_path / "const.svg").exists()

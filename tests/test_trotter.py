@@ -9,7 +9,6 @@ from qlma.sim import SimulationError, StateVector, apply_circuit, circuit_unitar
 from qlma.trotter import (
     EvolutionSpec,
     HermitianDecomposition,
-    QpeLayout,
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
@@ -219,15 +218,15 @@ def test_iqft_rejects_empty():
 
 def run_qpe(matrix, time, input_amps, m=3, slices=1, order=2):
     k = int(np.log2(len(input_amps)))
-    layout = QpeLayout(m, tuple(range(k)), tuple(range(k, k + m)))
+    phase_qubits = list(range(k, k + m))
     spec = EvolutionSpec(decompose_hermitian(matrix), time, slices, order)
-    circ = qpe_circuit(spec, layout)
+    circ = qpe_circuit(spec, phase_qubits)
     amps = np.zeros(2 ** (k + m), dtype=complex)
     amps[: 2**k] = input_amps
     state = apply_circuit(StateVector(k + m, amps), circ)
     from qlma.sim import measure_distribution
 
-    return measure_distribution(state, list(layout.phase_qubits))
+    return measure_distribution(state, phase_qubits)
 
 
 def test_qpe_zero_phase_for_flip_eigenvector():
@@ -262,11 +261,10 @@ def test_qpe_linearity_on_superposition():
     assert dist.get(2, 0.0) == pytest.approx(beta**2, abs=1e-10)
 
 
-def test_qpe_layout_validation():
-    with pytest.raises(SimulationError):
-        QpeLayout(2, (0, 1), (1, 2))
-    with pytest.raises(SimulationError):
-        QpeLayout(2, (0,), (1,))
+def test_qpe_rejects_phase_qubit_in_data_register():
+    spec = EvolutionSpec(decompose_hermitian(np.diag([0.0, 1.0, 2.0, 3.0])), -math.pi, 1, 2)
+    with pytest.raises(SimulationError, match="collides with the data register"):
+        qpe_circuit(spec, [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +297,17 @@ def dense_slice_matrix(spec):
     for coef, label, s in steps:
         out = (math.cos(coef * s) * eye - 1j * math.sin(coef * s) * basis[index[label]]) @ out
     return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), real=st.booleans(), rounded=st.booleans())
+def test_decompose_then_reconstruct_returns_the_matrix(n, seed, real, rounded):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + (0.0 if real else 1j * rng.normal(size=(2**n, 2**n)))
+    if rounded:
+        a = np.round(4 * a) / 4  # exactly vanishing coefficients are dropped
+    m = a + a.conj().T
+    assert np.max(np.abs(reconstruct(decompose_hermitian(m)) - m)) <= 1e-12
 
 
 @st.composite
