@@ -22,6 +22,8 @@ import numpy as np
 from . import jets
 
 SMALL_ANGLE_SQ = 1e-8
+CAMERA_RADIUS = 2.8  # generated cameras sit on this circle around the origin
+CAMERA_SEPARATION_DEG = 8.0  # angle between the two generated cameras, seen from the origin
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +369,11 @@ def generate_problem(
     camera_position_noise: float = 0.5,
     camera_rotation_noise: float = 0.5,
     noise_on: str = "points3d",
-    camera_radius: float = 2.8,
-    camera_separation_deg: float = 8.0,
 ) -> BaProblem:
     """Deterministic two-camera problem.
 
     Points are uniform in [-2, 2]^3; the cameras sit on a circle of radius
-    `camera_radius` around the origin, `camera_separation_deg` apart, both
+    CAMERA_RADIUS around the origin, CAMERA_SEPARATION_DEG apart, both
     aimed at the point centroid.  Keypoints are exact projections of the
     points jittered by +-point_noise (noise_on="keypoints" jitters the
     image keypoints directly instead).  The initial guess perturbs each
@@ -387,10 +387,10 @@ def generate_problem(
     points = rng.uniform(-2.0, 2.0, size=(n_points, 3))
     centroid = points.mean(axis=0)
 
-    half = math.radians(camera_separation_deg) / 2.0
+    half = math.radians(CAMERA_SEPARATION_DEG) / 2.0
     true_cams = []
     for angle in (math.pi / 2.0 - half, math.pi / 2.0 + half):
-        pos = np.array([camera_radius * math.cos(angle), camera_radius * math.sin(angle), 0.0])
+        pos = np.array([CAMERA_RADIUS * math.cos(angle), CAMERA_RADIUS * math.sin(angle), 0.0])
         true_cams.append(Camera(_look_at(pos, centroid), pos))
 
     jitter = rng.uniform(-point_noise, point_noise, size=(n_points, 3)) if point_noise else np.zeros((n_points, 3))

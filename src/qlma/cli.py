@@ -113,10 +113,17 @@ def _offset_seeds(seeds) -> tuple[int, ...]:
     return shifted
 
 
+def _make_output_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+
+
 def _run_one(job: tuple[int, RunConfig]) -> ConvergenceTrace:
     seed, config = job
     problem = generate_problem(seed, noise_on=config.noise_on)
-    return optimize(problem, SETUPS[config.setup], config.resolved_backend(), max_iters=config.max_iters, label=str(seed))
+    return optimize(problem, SETUPS[config.setup], config.resolved_backend(), max_iters=config.max_iters)
 
 
 def _run_batch_preserving(config: RunConfig, seeds: tuple[int, ...]) -> tuple[dict[int, ConvergenceTrace], list[str]]:
@@ -184,7 +191,7 @@ def write_summary(traces: dict[int, ConvergenceTrace], path) -> dict[str, tuple[
 
 def cmd_run(config: RunConfig) -> int:
     seeds = _offset_seeds(config.seeds)
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_output_dir(config.output_dir)
     traces, failures = _run_batch_preserving(config, seeds)
     for seed, trace in traces.items():
         write_trace_csv(trace, os.path.join(config.output_dir, f"trace_seed{seed}.csv"), config.timing)
@@ -198,10 +205,7 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_compare(config_a: RunConfig, config_b: RunConfig, output_dir: str) -> int:
-    if _offset_seeds(config_a.seeds) != _offset_seeds(config_b.seeds):
-        print("compare requires both configurations to share seeds", file=sys.stderr)
-        return 1
-    os.makedirs(output_dir, exist_ok=True)
+    _make_output_dir(output_dir)
     try:
         traces_a = run_batch(config_a)
         traces_b = run_batch(config_b)
@@ -274,7 +278,7 @@ def cmd_noise(
 
 def cmd_gen(seeds, output_dir: str, noise_on: str) -> int:
     seeds = _offset_seeds(seeds)
-    os.makedirs(output_dir, exist_ok=True)
+    _make_output_dir(output_dir)
     for seed in seeds:
         problem = generate_problem(seed, noise_on=noise_on)
         save_problem(problem, os.path.join(output_dir, f"problem_seed{seed}.txt"))
@@ -441,6 +445,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         config_b = _run_config_from(args, file_values, suffix="_b")
         if getattr(args, "seeds_b", None) is None and "seeds_b" not in file_values:
             config_b = RunConfig(**{**config_b.__dict__, "seeds": config_a.seeds})
+        if _offset_seeds(config_a.seeds) != _offset_seeds(config_b.seeds):
+            raise InputError("compare requires both configurations to share seeds")
         out = _resolve(args, file_values, "out", ".", str)
         return cmd_compare(config_a, config_b, out)
     if args.command == "noise":

@@ -145,24 +145,18 @@ def project_solution(problem: HermitianProblem, embedded: np.ndarray) -> np.ndar
 class HhlConfig:
     """Solver knobs.
 
-    inversion_constant is the rotation constant in eigenphase units
-    (0 < C <= 1); None picks the smallest reachable nonzero |eigenphase|,
-    which maximizes the post-selection probability while keeping every
-    rotation angle valid.  lambda_bound overrides the row-sum spectral
-    bound (useful when the caller knows a tight bound).
+    lambda_bound overrides the row-sum spectral bound (useful when the
+    caller knows a tight bound).
     """
 
     n_phase_qubits: int = 3
     slices: int = 50
     order: int = 2
-    inversion_constant: float | None = None
     lambda_bound: float | None = None
 
     def __post_init__(self):
         if self.n_phase_qubits < 1:
             raise HhlError("need at least one phase qubit")
-        if self.inversion_constant is not None and not 0.0 < self.inversion_constant <= 1.0:
-            raise HhlError("inversion constant must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -377,26 +371,20 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     iqft, iqft_dag = _readout_circuits(k, m)
     state = apply_circuit(StateVector(k + m, amps[: 2 ** (k + m)]), iqft)
 
+    # C is the smallest reachable nonzero |eigenphase|, which maximizes the
+    # post-selection probability; |C/lam| <= 1 then holds on every reachable
+    # bin, and the bins where it fails are unreachable and skipped.
     register = measure_distribution(state, phase_qubits)
-    reachable = {v for v, p in register.items() if p > REACHABLE_TOL}
-    reachable_nonzero = sorted(v for v in reachable if v != 0)
+    reachable_nonzero = [v for v, p in register.items() if v and p > REACHABLE_TOL]
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
-
-    if config.inversion_constant is not None:
-        constant = config.inversion_constant
-    else:
-        constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
+    constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
 
     bins: list[float | None] = [None] * 2**m
     for v in range(1, 2**m):
         lam = bin_phase(v, m)
         if abs(constant / lam) <= 1.0 + 1e-12:
             bins[v] = lam
-        elif v in reachable:
-            raise HhlError(
-                f"inversion constant {constant} is invalid for reachable register value {v}"
-            )
     inversion = inversion_rotation_circuit(phase_qubits, ancilla, constant, bins)
     state = apply_circuit(_zero_extend(state, n), inversion)
 

@@ -35,25 +35,18 @@ from .sim import SimulationError
 
 ZERO_COST = 1e-12
 MIN_STEP_NORM = 1e-12
-COST_INCREASE_TOL = 1e-12
 
 TRACE_COLUMNS = ("problem", "iteration", "cost", "lambda1", "omega", "step_norm", "accepted", "backend", "seconds")
 
 
 @dataclass(frozen=True)
 class DampingConfig:
-    """Initial damping, constant mixing damping, and update multipliers.
-
-    literal_thresholds flips the damping-update comparisons to the
-    alternative sign reading (thresholds at -omega/4 and -omega/2 instead
-    of omega/4 and omega/2).
-    """
+    """Initial damping, constant mixing damping, and update multipliers."""
 
     lambda1_init: float
     lambda2: float
     lambda_up: float
     lambda_down: float
-    literal_thresholds: bool = False
 
     def __post_init__(self):
         if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
@@ -113,10 +106,9 @@ def update_damping(lambda1: float, omega: float, dcost_sq: float, cfg: DampingCo
     damping on a direction change (omega > 0) or a too-small reduction;
     lower it on a strong reduction; otherwise keep it.
     """
-    sign = -1.0 if cfg.literal_thresholds else 1.0
-    if omega > 0.0 or dcost_sq > sign * omega / 4.0:
+    if omega > 0.0 or dcost_sq > omega / 4.0:
         return lambda1 * cfg.lambda_up
-    if dcost_sq < sign * omega / 2.0:
+    if dcost_sq < omega / 2.0:
         return lambda1 * cfg.lambda_down
     return lambda1
 
@@ -183,26 +175,21 @@ def optimize(
     damping: DampingConfig,
     backend: LinearBackend,
     max_iters: int = 40,
-    use_step_mixing: bool = True,
-    reject_uphill: bool = False,
-    label: str = "",
 ) -> ConvergenceTrace:
     """Run the damped loop from the problem's initial guess.
 
-    Every iteration is recorded.  By default candidate steps are applied
-    unconditionally, so the cost can move uphill and aggressive damping
-    schedules can oscillate or diverge; a candidate is only rejected when
-    it cannot be evaluated at all (projection failure, lost
-    post-selection, singular system), which keeps the state and raises
-    lambda1 through the regular damping update.  reject_uphill=True
-    switches to conservative descent: any cost increase beyond tolerance
-    is also rejected.  Camera quaternions are re-normalized on every
-    applied step.
+    Every iteration is recorded, under the trace name str(problem.seed).
+    Candidate steps are applied unconditionally, so the cost can move
+    uphill and aggressive damping schedules can oscillate or diverge; a
+    candidate is only rejected when it cannot be evaluated at all
+    (projection failure, lost post-selection, singular system), which
+    keeps the state and raises lambda1 through the regular damping
+    update.  Camera quaternions are re-normalized on every applied step.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     scene = problem.initial
-    trace = ConvergenceTrace(label or str(problem.seed))
+    trace = ConvergenceTrace(str(problem.seed))
     cost = total_cost(scene)
     if not math.isfinite(cost):
         raise ValueError(f"initial cost is not finite: {cost}")
@@ -212,7 +199,7 @@ def optimize(
 
     lam1 = damping.lambda1_init
     prev_step = np.zeros(scene.n_params)
-    mix = damping.lambda2 / (1.0 + damping.lambda2) if use_step_mixing else 0.0
+    mix = damping.lambda2 / (1.0 + damping.lambda2)
 
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
@@ -229,12 +216,8 @@ def optimize(
             cand_cost = math.inf
             step = np.zeros(scene.n_params)
             candidate = scene
-        if not math.isfinite(cand_cost):
-            accepted = False
-            dcost_sq = math.inf
-        else:
-            accepted = True if not reject_uphill else cand_cost <= cost + COST_INCREASE_TOL
-            dcost_sq = cand_cost**2 - cost**2
+        accepted = math.isfinite(cand_cost)
+        dcost_sq = cand_cost**2 - cost**2 if accepted else math.inf
         lam1 = update_damping(lam1, omega, dcost_sq, damping)
         if accepted:
             scene = candidate

@@ -5,6 +5,10 @@ every benchmark run fail."""
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,35 @@ def test_worker_imports_and_builds_every_workload_config(tmp_path, monkeypatch):
     for w in worker.WORKLOADS:
         config = worker.run_config(w, 0, tmp_path)
         assert config.output_dir == str(tmp_path), w
+
+
+# Runs every workload's pinned batch through cmd_run and prints the trace
+# digests; BLAS is pinned to one thread, as when the digests were recorded.
+_DIGEST_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import worker
+from qlma.cli import cmd_run
+out = Path(sys.argv[2])
+digests = {}
+for w in worker.WORKLOADS:
+    config = worker.run_config(w, worker.DEFAULT_SEED, out / w)
+    assert cmd_run(config) == 0, w
+    digests[w] = {
+        str(seed): worker.trace_digest((out / w / f"trace_seed{seed}.csv").read_text().splitlines())
+        for seed in config.seeds
+    }
+print(json.dumps(digests))
+"""
+
+
+def test_default_outputs_match_the_pinned_benchmark_digests(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT, str(PERFBENCH), str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["digests"]
+    assert json.loads(result.stdout) == expected

@@ -113,7 +113,8 @@ def test_compare_identical_configs_identical_columns(tmp_path):
         assert row[cols[0]] == row[cols[1]]
 
 
-def test_compare_requires_shared_seeds(tmp_path):
+def test_compare_requires_shared_seeds(tmp_path, capsys):
+    out = tmp_path / "out"
     code = main(
         [
             "compare",
@@ -121,10 +122,12 @@ def test_compare_requires_shared_seeds(tmp_path):
             "--seeds-b", "2",
             "--backend", "classical",
             "--backend-b", "classical",
-            "--out", str(tmp_path),
+            "--out", str(out),
         ]
     )
-    assert code == 1
+    assert code == 2
+    assert capsys.readouterr().err == "qlma: error: compare requires both configurations to share seeds\n"
+    assert not out.exists()
 
 
 def test_noise_command_reference_estimates(capsys):
@@ -369,3 +372,18 @@ def test_bad_seeds_fail_with_one_line(tmp_path, monkeypatch, capsys, command, se
     assert main([command, "--seeds", seeds, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"qlma: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--seeds", "1", "--iters", "1"], ["gen", "--seeds", "1"], ["compare", "--seeds", "1", "--iters", "1"]],
+    ids=["run", "gen", "compare"],
+)
+@pytest.mark.parametrize("out_kind", ["existing_file", "empty"])
+def test_unusable_out_fails_with_one_line(tmp_path, capsys, command, out_kind):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out, reason = (str(taken), "File exists") if out_kind == "existing_file" else ("", "No such file or directory")
+    assert main([*command, "--out", out]) == 2
+    assert capsys.readouterr().err == f"qlma: error: cannot create output directory {out!r}: {reason}\n"
+    assert taken.read_text() == "not a directory\n"

@@ -403,13 +403,6 @@ def test_uncompute_returns_phase_register_to_zero():
     assert register.get(0, 0.0) >= 1.0 - 1e-9
 
 
-def test_failure_when_constant_invalid_for_reachable_bin():
-    b = np.array([1.0, 1.0]) / math.sqrt(2)
-    prob = embed_problem(FLIP, b)
-    with pytest.raises(HhlError):
-        hhl_solve(prob, HhlConfig(inversion_constant=1.0))  # C=1 > |phase|=1/2
-
-
 def test_gate_tally_structure():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(12, 12))
@@ -442,16 +435,12 @@ def _reference_inversion(register, config, phase_qubits, ancilla):
     reachable_nonzero = sorted(v for v in reachable if v != 0)
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
-    constant = config.inversion_constant
-    if constant is None:
-        constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
+    constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
     bins = [None] * 2**m
     for v in range(1, 2**m):
         lam = bin_phase(v, m)
         if abs(constant / lam) <= 1.0 + 1e-12:
             bins[v] = lam
-        elif v in reachable:
-            raise HhlError(f"inversion constant {constant} is invalid for reachable register value {v}")
     return constant, inversion_rotation_circuit(phase_qubits, ancilla, constant, bins)
 
 
