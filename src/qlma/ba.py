@@ -120,7 +120,7 @@ class Camera:
         self.quaternion = np.asarray(self.quaternion, dtype=float)
         self.position = np.asarray(self.position, dtype=float)
         self.principal_point = np.asarray(self.principal_point, dtype=float)
-        if abs(np.linalg.norm(self.quaternion) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(self.quaternion) - 1.0) <= 1e-9:  # also rejects NaN
             raise ValueError("camera quaternion must be unit norm")
 
 

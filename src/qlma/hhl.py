@@ -78,6 +78,8 @@ class HermitianProblem:
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+        if not np.all(np.isfinite(m)):
+            raise HhlError("embedded matrix has non-finite entries")
         if np.max(np.abs(m - m.T)) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise HhlError("embedded matrix is not Hermitian")
 
@@ -199,7 +201,7 @@ def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
     k = v.size.bit_length() - 1
     if v.ndim != 1 or k < 1 or v.size != 2**k:
         raise HhlError(f"rhs length {v.size} is not a power of two of at least 2")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # also rejects NaN
         raise HhlError("rhs must be normalized")
 
     if np.allclose(v, 1.0 / math.sqrt(2**k), atol=1e-12):
@@ -328,6 +330,15 @@ def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit]:
     return Circuit(n_data + n_phase, iqft.ops), Circuit(n_data + n_phase + 1, inverse_circuit(iqft).ops)
 
 
+@functools.lru_cache(maxsize=16)
+def _inversion_circuit(n_data: int, n_phase: int, constant: float) -> Circuit:
+    """The inversion rotations for constant C, skipping the bins where
+    |C/lam| > 1; C is always one of the 2**(m-1) positive bin phases."""
+    lams = [bin_phase(v, n_phase) for v in range(2**n_phase)]
+    bins = [lam if v and abs(constant / lam) <= 1.0 + 1e-12 else None for v, lam in enumerate(lams)]
+    return inversion_rotation_circuit(list(range(n_data, n_data + n_phase)), n_data + n_phase, constant, bins)
+
+
 def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> HhlSolution:
     """Run the full pipeline and read the solution off the statevector.
 
@@ -342,7 +353,6 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     k = problem.n_data_qubits
     m = config.n_phase_qubits
     n = k + m + 1
-    ancilla = k + m
     phase_qubits = list(range(k, k + m))
 
     bound = config.lambda_bound if config.lambda_bound is not None else spectral_bound(problem.matrix)
@@ -379,14 +389,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
     constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
-
-    bins: list[float | None] = [None] * 2**m
-    for v in range(1, 2**m):
-        lam = bin_phase(v, m)
-        if abs(constant / lam) <= 1.0 + 1e-12:
-            bins[v] = lam
-    inversion = inversion_rotation_circuit(phase_qubits, ancilla, constant, bins)
-    state = apply_circuit(_zero_extend(state, n), inversion)
+    state = apply_circuit(_zero_extend(state, n), _inversion_circuit(k, m, constant))
 
     # The uncompute keeps all n qubits: each controlled power renormalizes
     # by the norm of both ancilla branches together.

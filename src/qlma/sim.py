@@ -190,6 +190,32 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.ops)
 
+    @functools.cached_property
+    def _passes(self) -> tuple[tuple, ...]:
+        """apply_circuit's (i0, i1, read-only coefficients), computed once, per
+        maximal run of ops on one target and controls with distinct control
+        states.  A single op takes views (_pair_views); a longer run, such as
+        the inversion's one rotation per register value, gathers its pairs."""
+        passes, ops, start = [], self.ops, 0
+        while start < len(ops):
+            end, seen = start + 1, {ops[start].control_states}
+            while end < len(ops) and ops[end].qubits == ops[start].qubits and ops[end].control_states not in seen:
+                seen.add(ops[end].control_states)
+                end += 1
+            run = ops[start:end]
+            coeffs = np.stack([gate_matrix(op) for op in run])[:, None]
+            if len(run) == 1:
+                (i0, i1), coeffs = _pair_views(self.n_qubits, run[0]), coeffs[0, 0]
+            else:
+                i0, i1 = _index_plan(self.n_qubits, run[0].target, run[0].controls)
+                rows = [sum(s << j for j, s in enumerate(op.control_states)) for op in run]
+                i0, i1 = i0[rows], i1[rows]
+                i0.flags.writeable = i1.flags.writeable = False
+            coeffs.flags.writeable = False
+            passes.append((i0, i1, coeffs))
+            start = end
+        return tuple(passes)
+
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(dagger(op) for op in reversed(circuit.ops)))
@@ -212,8 +238,8 @@ class StateVector:
             raise SimulationError(
                 f"amplitude vector of length {amps.shape} does not match {self.n_qubits} qubits"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise SimulationError(f"state norm {norm} is not 1")
 
     @classmethod
@@ -231,7 +257,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-@functools.lru_cache(maxsize=256)
 def _index_plan(n_qubits: int, target: int, controls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude index pairs of a gate on `target` under `controls`: row p
     of i0 holds the indices with target bit 0 whose control bits spell p
@@ -242,27 +267,32 @@ def _index_plan(n_qubits: int, target: int, controls: tuple[int, ...]) -> tuple[
     for j, c in enumerate(controls):
         pattern |= ((i0 >> c) & 1) << j
     i0 = i0[np.argsort(pattern, kind="stable")].reshape(2 ** len(controls), -1)
-    i1 = i0 | (1 << target)
-    i0.flags.writeable = i1.flags.writeable = False  # shared by every caller
-    return i0, i1
+    return i0, i0 | (1 << target)
 
 
-def _apply_ops(amps: np.ndarray, n_qubits: int, ops: tuple[GateOp, ...]) -> np.ndarray:
-    """Apply ops that share target and controls and have pairwise distinct
-    control states.  Their amplitude pairs are disjoint, so one gather,
-    compute and scatter applies them all, each pair seeing the arithmetic of
-    its own gate alone."""
-    i0, i1 = _index_plan(n_qubits, ops[0].target, ops[0].controls)
-    rows = [sum(s << j for j, s in enumerate(op.control_states)) for op in ops]
-    if len(rows) == 1:  # a slice is a view; indexing by a list would copy the row
-        i0, i1 = i0[rows[0] : rows[0] + 1], i1[rows[0] : rows[0] + 1]
-    else:
-        i0, i1 = i0[rows], i1[rows]
-    m = np.stack([gate_matrix(op) for op in ops])[..., None]
+def _pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Index tuples of the target's 0 and 1 halves, each control at its
+    state, in the (2,)*n tensor of the amplitudes (qubit q is axis n-1-q).
+    Slices, never integers, so that every view stays an array: numpy's
+    scalar math rounds differently from its array loops."""
+    sel = [slice(None)] * n_qubits
+    for q, s in zip(op.qubits, (0, *op.control_states)):
+        sel[n_qubits - 1 - q] = slice(s, s + 1)
+    i0 = tuple(sel)
+    sel[n_qubits - 1 - op.target] = slice(1, 2)
+    return i0, tuple(sel)
+
+
+def _apply_pass(amps: np.ndarray, n_qubits: int, i0, i1, coeffs: np.ndarray) -> np.ndarray:
+    """new[i0] = m00*a0 + m01*a1 and new[i1] = m10*a0 + m11*a1 with a0, a1
+    the amplitudes at i0, i1: views of the (2,)*n tensor with a (2, 2)
+    matrix, or index arrays of R rows with (R, 1, 2, 2) coefficients."""
     out = amps.copy()
-    a0, a1 = amps[i0], amps[i1]
-    out[i0] = m[:, 0, 0] * a0 + m[:, 0, 1] * a1
-    out[i1] = m[:, 1, 0] * a0 + m[:, 1, 1] * a1
+    shape = (2,) * n_qubits if isinstance(i0, tuple) else (-1,)
+    src, dst = amps.reshape(shape), out.reshape(shape)
+    a0, a1 = src[i0], src[i1]
+    dst[i0] = coeffs[..., 0, 0] * a0 + coeffs[..., 0, 1] * a1
+    dst[i1] = coeffs[..., 1, 0] * a0 + coeffs[..., 1, 1] * a1
     return out
 
 
@@ -272,26 +302,17 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     for q in op.qubits:
         if not 0 <= q < n:
             raise SimulationError(f"qubit {q} out of range for {n}-qubit state")
-    return StateVector(n, _apply_ops(state.amplitudes, n, (op,)))
+    return StateVector(n, _apply_pass(state.amplitudes, n, *_pair_views(n, op), gate_matrix(op)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the ops in order.  Each maximal run of ops on one target and
-    control tuple with pairwise distinct control states (such as the
-    eigenvalue inversion's one rotation per register value) takes one
-    kernel pass; a repeated control pattern starts a new run."""
+    """Apply the ops in order, one kernel pass per run (Circuit._passes)."""
     if circuit.n_qubits != state.n_qubits:
         raise SimulationError(
             f"circuit on {circuit.n_qubits} qubits applied to {state.n_qubits}-qubit state"
         )
-    ops, start = circuit.ops, 0
-    while start < len(ops):
-        end, seen = start + 1, {ops[start].control_states}
-        while end < len(ops) and ops[end].qubits == ops[start].qubits and ops[end].control_states not in seen:
-            seen.add(ops[end].control_states)
-            end += 1
-        state = StateVector(state.n_qubits, _apply_ops(state.amplitudes, state.n_qubits, ops[start:end]))
-        start = end
+    for i0, i1, coeffs in circuit._passes:
+        state = StateVector(state.n_qubits, _apply_pass(state.amplitudes, state.n_qubits, i0, i1, coeffs))
     return state
 
 
@@ -314,19 +335,29 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[StateVect
     return StateVector(state.n_qubits, amps), prob
 
 
+@functools.lru_cache(maxsize=64)
+def _register_key(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Each amplitude's register value over `qubits` (bit j from qubits[j])."""
+    for q in qubits:
+        if not 0 <= q < n_qubits:
+            raise SimulationError(f"qubit {q} out of range")
+    if len(set(qubits)) != len(qubits):
+        raise SimulationError(f"repeated qubit in {list(qubits)}")
+    idx = np.arange(2**n_qubits)
+    key = np.zeros(2**n_qubits, dtype=np.int64)
+    for j, q in enumerate(qubits):
+        key |= ((idx >> q) & 1) << j
+    key.flags.writeable = False  # shared by every caller
+    return key
+
+
 def measure_distribution(state: StateVector, qubits: list[int]) -> dict[int, float]:
     """Born-rule marginal over `qubits`; keys are the register values.
 
     qubits[j] contributes bit j of the outcome key.  Zero-probability
     outcomes are omitted.
     """
-    for q in qubits:
-        if not 0 <= q < state.n_qubits:
-            raise SimulationError(f"qubit {q} out of range")
-    idx = np.arange(state.amplitudes.size)
-    key = np.zeros(state.amplitudes.size, dtype=np.int64)
-    for j, q in enumerate(qubits):
-        key |= ((idx >> q) & 1) << j
+    key = _register_key(state.n_qubits, tuple(qubits))
     probs = np.bincount(key, weights=state.probabilities, minlength=2 ** len(qubits))
     return {int(v): float(p) for v, p in enumerate(probs) if p > 0.0}
 

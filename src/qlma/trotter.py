@@ -105,6 +105,8 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits != dim:
         raise SimulationError(f"matrix size {dim} is not a power of two")
+    if not np.all(np.isfinite(m)):
+        raise SimulationError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
         raise SimulationError("matrix is not Hermitian")

@@ -147,6 +147,11 @@ def identity_camera():
     return Camera(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
+def test_camera_rejects_nan_quaternion():
+    with pytest.raises(ValueError, match="unit norm"):
+        Camera(np.array([math.nan, 0.0, 0.0, 0.0]), np.zeros(3))
+
+
 def test_project_point_on_axis_hits_principal_point():
     cam = identity_camera()
     assert np.allclose(project(cam, np.array([0.0, 0.0, 5.0])), [0.0, 0.0])

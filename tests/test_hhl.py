@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlma.hhl
 from qlma.hhl import (
     REACHABLE_TOL,
     HermitianProblem,
@@ -126,6 +127,12 @@ def test_embed_rejects_zero_rhs():
         embed_problem(np.eye(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hermitian_problem_rejects_non_finite_matrix(bad):
+    with pytest.raises(HhlError, match="non-finite"):
+        HermitianProblem(np.array([[1.0, bad], [0.0, 1.0]]), np.array([1.0, 0.0]), 1.0, 2)
+
+
 def test_spectral_bound_covers_eigenvalues():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(8, 8))
@@ -181,6 +188,11 @@ def test_preparation_amplitudes_property(k, seed, zeros):
 def test_preparation_rejects_unnormalized():
     with pytest.raises(HhlError):
         state_preparation_circuit(np.array([1.0, 1.0]))
+
+
+def test_preparation_rejects_nan():
+    with pytest.raises(HhlError, match="normalized"):
+        state_preparation_circuit(np.array([math.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +523,29 @@ def full_register_hhl_solve(problem, config):
     for q in phase_qubits:
         state = apply_gate(state, h(q))
     return (*_reference_readout(problem, state, k, m, constant, bound), register)
+
+
+def test_solve_reuses_an_inversion_circuit_equal_to_a_fresh_one(monkeypatch):
+    """hhl_solve builds its inversion circuit once per (k, m, C); the cached
+    circuit has the ops inversion_rotation_circuit builds afresh."""
+    applied = []
+
+    def spy(state, circuit):
+        applied.append(circuit)
+        return apply_circuit(state, circuit)
+
+    monkeypatch.setattr(qlma.hhl, "apply_circuit", spy)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4))
+    problem = embed_problem(a + a.T, rng.normal(size=4))
+    config = HhlConfig(n_phase_qubits=4)
+    first, second = hhl_solve(problem, config), hhl_solve(problem, config)
+    k, m = problem.n_data_qubits, config.n_phase_qubits
+    inversions = [c for c in applied if c.ops and all(op.kind == "cry" for op in c.ops)]
+    assert len(inversions) == 2 and inversions[0] is inversions[1]
+    _, fresh = _reference_inversion(first.register_distribution, config, list(range(k, k + m)), k + m)
+    assert inversions[0] == fresh and len(fresh.ops) > 1
+    assert first.solution.tobytes() == second.solution.tobytes()
 
 
 @st.composite

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlma.sim import (
@@ -163,6 +163,17 @@ def test_measure_distribution_sums_to_one():
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_measure_distribution_rejects_repeated_qubit():
+    with pytest.raises(SimulationError, match="repeated qubit"):
+        measure_distribution(apply_gate(StateVector.zero(1), h(0)), [0, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(SimulationError, match="norm"):
+        StateVector(1, [bad, 0.0])
+
+
 def test_measure_distribution_marginal_order():
     # qubits[j] supplies bit j: measuring [1, 0] on |01> (q0=1) gives key 2
     s = StateVector.basis(2, 1)
@@ -279,6 +290,9 @@ def gate_ops(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(gate_ops(), st.integers(0, 2**32 - 1))
+# a single amplitude pair, where numpy scalars in place of arrays change bits
+@example(drawn=(1, u(0, 1.0, 0.5, -0.5, 0.25)), seed=1)
+@example(drawn=(2, cu(1, 0, 1.0, 0.5, -0.5, 0.25)), seed=0)
 def test_apply_gate_bit_identical_to_mask_kernel(drawn, seed):
     n, op = drawn
     state = seeded_state(n, seed)
@@ -313,6 +327,22 @@ def test_apply_circuit_bit_identical_on_rotation_runs(n, data, seed):
     for op in ops:
         expected = mask_kernel(expected, op)
     assert apply_circuit(state, Circuit(n, tuple(ops))).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_circuit_passes_are_computed_once_and_read_only():
+    ops = (h(0), cu(0, 2, 0.3, 0.1, -0.2, 0.4), cry(0.5, 1, (0, 2), (0, 1)), cry(0.7, 1, (0, 2), (1, 1)), x(2))
+    circuit, state = Circuit(3, ops), seeded_state(3, 5)
+    expected = state.amplitudes
+    for op in ops:
+        expected = mask_kernel(expected, op)
+    first = apply_circuit(state, circuit).amplitudes
+    passes = circuit._passes
+    assert apply_circuit(state, circuit).amplitudes.tobytes() == first.tobytes() == expected.tobytes()
+    assert circuit._passes is passes and len(passes) == 4  # the two rotations share a pass
+    for i0, i1, coeffs in passes:
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[..., 0, 0] = 0.0
 
 
 def test_repeated_control_pattern_is_applied_twice():

@@ -67,6 +67,12 @@ def test_decompose_rejects_non_hermitian():
         decompose_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("matrix", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]])
+def test_decompose_rejects_non_finite(matrix):
+    with pytest.raises(SimulationError, match="non-finite"):
+        decompose_hermitian(np.array(matrix))
+
+
 def test_decompose_rejects_bad_size():
     with pytest.raises(SimulationError):
         decompose_hermitian(np.eye(3))
