@@ -471,6 +471,7 @@ def load_problem(path) -> BaProblem:
         "point": {}, "camera": {}, "obs": {}, "obs_point": {}, "init_point": {}, "init_camera": {},
     }
     seed = 0
+    first_line: dict[tuple, int] = {}  # (tag, index) -> line number
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -485,13 +486,29 @@ def load_problem(path) -> BaProblem:
                 raise ValueError(f"{where}: {tag} record needs {_RECORD_FIELDS[tag]} fields, got {len(parts) - 1}")
             try:
                 if tag == "seed":
-                    seed = int(parts[1])
+                    index, value = None, int(parts[1])
                 elif tag == "obs":
-                    records["obs"][(int(parts[1]), int(parts[2]))] = np.array([float(parts[3]), float(parts[4])])
+                    index, value = (int(parts[1]), int(parts[2])), np.array([float(parts[3]), float(parts[4])])
                 else:
-                    records[tag][int(parts[1])] = np.array([float(v) for v in parts[2:]])
+                    index, value = int(parts[1]), np.array([float(v) for v in parts[2:]])
             except ValueError as exc:
                 raise ValueError(f"{where}: malformed {tag} record: {exc}") from None
+            if (tag, index) in first_line:
+                name = " ".join(parts[: 1 if index is None else 3 if tag == "obs" else 2])
+                raise ValueError(f"{where}: repeated {name} record, first on line {first_line[tag, index]}")
+            first_line[tag, index] = number
+            if tag == "seed":
+                seed = value
+            else:
+                records[tag][index] = value
+
+    for tag, counted in (("obs_point", "point"), ("init_point", "point"), ("init_camera", "camera")):
+        count = len(records[counted])
+        for index in records[tag]:
+            if not 0 <= index < count:
+                raise ValueError(
+                    f"{path}:{first_line[tag, index]}: {tag} record {index} is out of range for {count} {counted} records"
+                )
 
     def rows(tag: str, count: int) -> list[np.ndarray]:
         missing = [i for i in range(count) if i not in records[tag]]

@@ -127,14 +127,15 @@ def _run_one(job: tuple[int, RunConfig]) -> ConvergenceTrace:
 
 
 def _run_batch_preserving(config: RunConfig, seeds: tuple[int, ...]) -> tuple[dict[int, ConvergenceTrace], list[str]]:
-    """Optimize every (offset) seed, in parallel when config.jobs > 1; a
-    failing seed is reported in the failure list and does not discard
-    finished ones."""
+    """Optimize every (offset) seed, in parallel on up to config.jobs
+    workers, never more than one per seed; a failing seed is reported in the
+    failure list and does not discard finished ones."""
     traces: dict[int, ConvergenceTrace] = {}
     failures: list[str] = []
+    workers = min(config.jobs, len(seeds))
     with contextlib.ExitStack() as stack:
-        if config.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = [pool.submit(_run_one, (s, config)).result for s in seeds]
         else:
             results = [functools.partial(_run_one, (s, config)) for s in seeds]
@@ -314,6 +315,8 @@ def _load_config_file(path: str, valid_keys: tuple[str, ...]) -> dict[str, str]:
             raise InputError(f"{path}:{number}: expected key=value, got {line!r}")
         if key not in valid_keys:
             raise InputError(f"{path}:{number}: unknown config key {key!r}; valid keys: {', '.join(valid_keys)}")
+        if key in values:
+            raise InputError(f"{path}:{number}: repeated config key {key!r}")
         values[key] = value.strip()
     return values
 

@@ -35,6 +35,7 @@ from .sim import (
     cry,
     cx,
     gate_counts,
+    gate_matrix,
     h,
     inverse_circuit,
     measure_distribution,
@@ -208,28 +209,29 @@ def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
         return Circuit(k, tuple(h(q) for q in range(k)))
 
     ops: list[GateOp] = []
-
-    def descend(sub: np.ndarray, depth: int, controls: list[tuple[int, int]]) -> None:
-        qubit = k - 1 - depth
-        half = sub.size // 2
-        left, right = sub[:half], sub[half:]
-        if half == 1:
-            angle = 2.0 * math.atan2(right[0], left[0])
-        else:
-            angle = 2.0 * math.atan2(float(np.linalg.norm(right)), float(np.linalg.norm(left)))
-        if abs(angle) > 1e-15:
-            ctrl_qubits = tuple(c for c, _ in controls)
-            ctrl_states = tuple(s for _, s in controls)
-            ops.append(cry(angle, qubit, ctrl_qubits, ctrl_states))
-        if half == 1:
-            return
-        if np.linalg.norm(left) > 0.0:
-            descend(left, depth + 1, controls + [(qubit, 0)])
-        if np.linalg.norm(right) > 0.0:
-            descend(right, depth + 1, controls + [(qubit, 1)])
-
-    descend(v, 0, [])
+    _encode_subtree(v, k - 1, [], ops)
     return Circuit(k, tuple(ops))
+
+
+def _encode_subtree(sub: np.ndarray, qubit: int, controls: list[tuple[int, int]], ops: list[GateOp]) -> None:
+    """Append the rotations that encode `sub` on qubits qubit..0 under the
+    (qubit, state) `controls`, depth first with the left half first."""
+    half = sub.size // 2
+    left, right = sub[:half], sub[half:]
+    if half == 1:
+        angle = 2.0 * math.atan2(right[0], left[0])
+    else:
+        angle = 2.0 * math.atan2(float(np.linalg.norm(right)), float(np.linalg.norm(left)))
+    if abs(angle) > 1e-15:
+        ctrl_qubits = tuple(c for c, _ in controls)
+        ctrl_states = tuple(s for _, s in controls)
+        ops.append(cry(angle, qubit, ctrl_qubits, ctrl_states))
+    if half == 1:
+        return
+    if np.linalg.norm(left) > 0.0:
+        _encode_subtree(left, qubit - 1, controls + [(qubit, 0)], ops)
+    if np.linalg.norm(right) > 0.0:
+        _encode_subtree(right, qubit - 1, controls + [(qubit, 1)], ops)
 
 
 def inversion_rotation_circuit(
@@ -331,12 +333,31 @@ def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit]:
 
 
 @functools.lru_cache(maxsize=16)
-def _inversion_circuit(n_data: int, n_phase: int, constant: float) -> Circuit:
-    """The inversion rotations for constant C, skipping the bins where
-    |C/lam| > 1; C is always one of the 2**(m-1) positive bin phases."""
+def _inversion_table(n_phase: int, constant: float) -> tuple[np.ndarray, np.ndarray]:
+    """The register values the inversion rotates for constant C and their
+    (R, 1, 2, 2) rotation matrices, read-only, read off the ops of
+    inversion_rotation_circuit; the bins where |C/lam| > 1 are skipped.  C is
+    always one of the 2**(m-1) positive bin phases."""
     lams = [bin_phase(v, n_phase) for v in range(2**n_phase)]
     bins = [lam if v and abs(constant / lam) <= 1.0 + 1e-12 else None for v, lam in enumerate(lams)]
-    return inversion_rotation_circuit(list(range(n_data, n_data + n_phase)), n_data + n_phase, constant, bins)
+    ops = inversion_rotation_circuit(list(range(n_phase)), n_phase, constant, bins).ops
+    values = np.array([sum(s << j for j, s in enumerate(op.control_states)) for op in ops])
+    mats = np.stack([gate_matrix(op) for op in ops])[:, None]
+    values.flags.writeable = mats.flags.writeable = False
+    return values, mats
+
+
+def _apply_inversion(amps: np.ndarray, n_data: int, n_phase: int, constant: float) -> np.ndarray:
+    """The inversion rotations on the ancilla, one per rotated register
+    value, as one gather on the (ancilla, phase, data) view of the amplitudes."""
+    values, mats = _inversion_table(n_phase, constant)
+    out = amps.copy()
+    shape = (2, 2**n_phase, 2**n_data)
+    src, dst = amps.reshape(shape), out.reshape(shape)
+    a0, a1 = src[0, values], src[1, values]
+    dst[0, values] = mats[..., 0, 0] * a0 + mats[..., 0, 1] * a1
+    dst[1, values] = mats[..., 1, 0] * a0 + mats[..., 1, 1] * a1
+    return out
 
 
 def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> HhlSolution:
@@ -389,7 +410,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
     constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
-    state = apply_circuit(_zero_extend(state, n), _inversion_circuit(k, m, constant))
+    state = StateVector(n, _apply_inversion(_zero_extend(state, n).amplitudes, k, m, constant))
 
     # The uncompute keeps all n qubits: each controlled power renormalizes
     # by the norm of both ancilla branches together.
@@ -439,38 +460,23 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
     m = config.n_phase_qubits
     phase_qubits = list(range(k, k + m))
 
-    def add(
-        total: tuple[int, int, dict[str, int]],
-        part: tuple[int, int, dict[str, int]],
-        factor: int = 1,
-    ) -> tuple[int, int, dict[str, int]]:
-        one, two, per = total
-        p1, p2, pk = part
-        per = dict(per)
-        for kind, cnt in pk.items():
-            per[kind] = per.get(kind, 0) + cnt * factor
-        return one + p1 * factor, two + p2 * factor, per
-
-    bound = config.lambda_bound if config.lambda_bound is not None else spectral_bound(problem.matrix)
     dec = decompose_hermitian(problem.matrix)
     has_identity = any(set(lbl) == {"I"} for _, lbl in dec.terms)
-    acting = HermitianDecomposition(
-        dec.n_qubits, tuple(t for t in dec.terms if set(t[1]) != {"I"})
-    )
-    one_slice = trotter_circuit(
-        EvolutionSpec(acting, -math.pi / bound, 1, config.order), controlled_by=(k, 0)
-    )
-    slice_tally = gate_counts(one_slice)
+    acting = HermitianDecomposition(dec.n_qubits, tuple(t for t in dec.terms if set(t[1]) != {"I"}))
+    # the evolution time sets rotation angles only, never gate counts
+    one_slice = trotter_circuit(EvolutionSpec(acting, 1.0, 1, config.order), controlled_by=(k, 0))
     powers = 2 * sum(2**j for j in range(m))  # estimation plus uncompute
-    hadamards = (2 * m, 0, {"h": 2 * m})
-    # the identity term collapses to one phase gate per controlled power
-    phase_gates = (2 * m, 0, {"u": 2 * m}) if has_identity else (0, 0, {})
-
-    total: tuple[int, int, dict[str, int]] = (0, 0, {})
-    total = add(total, gate_counts(state_preparation_circuit(problem.rhs)))
-    total = add(total, hadamards)
-    total = add(total, slice_tally, factor=config.slices * powers)
-    total = add(total, phase_gates)
-    total = add(total, gate_counts(inverse_qft_circuit(phase_qubits)), factor=2)
-    total = add(total, gate_counts(inversion_rotation_circuit(phase_qubits, k + m, 1.0 / 2**m)))
-    return total
+    parts = [  # (one-qubit, two-qubit, per-kind) tallies, each with its multiplicity
+        (gate_counts(state_preparation_circuit(problem.rhs)), 1),
+        ((2 * m, 0, {"h": 2 * m}), 1),
+        (gate_counts(one_slice), config.slices * powers),
+        # the identity term collapses to one phase gate per controlled power
+        ((2 * m, 0, {"u": 2 * m}) if has_identity else (0, 0, {}), 1),
+        (gate_counts(inverse_qft_circuit(phase_qubits)), 2),
+        (gate_counts(inversion_rotation_circuit(phase_qubits, k + m, 1.0 / 2**m)), 1),
+    ]
+    per: dict[str, int] = {}
+    for (_, _, kinds), factor in parts:
+        for kind, count in kinds.items():
+            per[kind] = per.get(kind, 0) + count * factor
+    return sum(p[0] * f for p, f in parts), sum(p[1] * f for p, f in parts), per

@@ -192,28 +192,13 @@ class Circuit:
 
     @functools.cached_property
     def _passes(self) -> tuple[tuple, ...]:
-        """apply_circuit's (i0, i1, read-only coefficients), computed once, per
-        maximal run of ops on one target and controls with distinct control
-        states.  A single op takes views (_pair_views); a longer run, such as
-        the inversion's one rotation per register value, gathers its pairs."""
-        passes, ops, start = [], self.ops, 0
-        while start < len(ops):
-            end, seen = start + 1, {ops[start].control_states}
-            while end < len(ops) and ops[end].qubits == ops[start].qubits and ops[end].control_states not in seen:
-                seen.add(ops[end].control_states)
-                end += 1
-            run = ops[start:end]
-            coeffs = np.stack([gate_matrix(op) for op in run])[:, None]
-            if len(run) == 1:
-                (i0, i1), coeffs = _pair_views(self.n_qubits, run[0]), coeffs[0, 0]
-            else:
-                i0, i1 = _index_plan(self.n_qubits, run[0].target, run[0].controls)
-                rows = [sum(s << j for j, s in enumerate(op.control_states)) for op in run]
-                i0, i1 = i0[rows], i1[rows]
-                i0.flags.writeable = i1.flags.writeable = False
-            coeffs.flags.writeable = False
-            passes.append((i0, i1, coeffs))
-            start = end
+        """apply_circuit's (i0, i1, read-only 2x2 matrix) per op (_pair_views),
+        computed once, so a circuit applied again costs no per-op Python work."""
+        passes = []
+        for op in self.ops:
+            mat = gate_matrix(op).copy()
+            mat.flags.writeable = False
+            passes.append((*_pair_views(self.n_qubits, op), mat))
         return tuple(passes)
 
 
@@ -257,19 +242,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _index_plan(n_qubits: int, target: int, controls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude index pairs of a gate on `target` under `controls`: row p
-    of i0 holds the indices with target bit 0 whose control bits spell p
-    (controls[j] gives bit j), and i1 = i0 with the target bit set."""
-    idx = np.arange(2**n_qubits)
-    i0 = idx[((idx >> target) & 1) == 0]
-    pattern = np.zeros_like(i0)
-    for j, c in enumerate(controls):
-        pattern |= ((i0 >> c) & 1) << j
-    i0 = i0[np.argsort(pattern, kind="stable")].reshape(2 ** len(controls), -1)
-    return i0, i0 | (1 << target)
-
-
 def _pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     """Index tuples of the target's 0 and 1 halves, each control at its
     state, in the (2,)*n tensor of the amplitudes (qubit q is axis n-1-q).
@@ -283,16 +255,14 @@ def _pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[sli
     return i0, tuple(sel)
 
 
-def _apply_pass(amps: np.ndarray, n_qubits: int, i0, i1, coeffs: np.ndarray) -> np.ndarray:
+def _apply_pass(amps: np.ndarray, n_qubits: int, i0, i1, mat: np.ndarray) -> np.ndarray:
     """new[i0] = m00*a0 + m01*a1 and new[i1] = m10*a0 + m11*a1 with a0, a1
-    the amplitudes at i0, i1: views of the (2,)*n tensor with a (2, 2)
-    matrix, or index arrays of R rows with (R, 1, 2, 2) coefficients."""
+    the amplitudes at the views i0, i1 of the (2,)*n tensor."""
     out = amps.copy()
-    shape = (2,) * n_qubits if isinstance(i0, tuple) else (-1,)
-    src, dst = amps.reshape(shape), out.reshape(shape)
+    src, dst = amps.reshape((2,) * n_qubits), out.reshape((2,) * n_qubits)
     a0, a1 = src[i0], src[i1]
-    dst[i0] = coeffs[..., 0, 0] * a0 + coeffs[..., 0, 1] * a1
-    dst[i1] = coeffs[..., 1, 0] * a0 + coeffs[..., 1, 1] * a1
+    dst[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
+    dst[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
     return out
 
 
@@ -306,13 +276,13 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the ops in order, one kernel pass per run (Circuit._passes)."""
+    """Apply the ops in order, one kernel pass per op (Circuit._passes)."""
     if circuit.n_qubits != state.n_qubits:
         raise SimulationError(
             f"circuit on {circuit.n_qubits} qubits applied to {state.n_qubits}-qubit state"
         )
-    for i0, i1, coeffs in circuit._passes:
-        state = StateVector(state.n_qubits, _apply_pass(state.amplitudes, state.n_qubits, i0, i1, coeffs))
+    for i0, i1, mat in circuit._passes:
+        state = StateVector(state.n_qubits, _apply_pass(state.amplitudes, state.n_qubits, i0, i1, mat))
     return state
 
 

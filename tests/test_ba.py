@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -606,3 +607,25 @@ def test_load_problem_names_line_of_short_record(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"problem.txt:{number}: init_camera record needs 11 fields, got 10"):
         load_problem(path)
+@pytest.mark.parametrize("prefix", ["seed ", "point 0 ", "obs 0 0 ", "init_camera 1 "])
+def test_load_problem_rejects_repeated_record(tmp_path, prefix):
+    path, lines = _saved_lines(tmp_path)
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith(prefix))
+    path.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
+    name = re.escape(prefix.strip())
+    with pytest.raises(ValueError, match=f"problem.txt:{len(lines) + 1}: repeated {name} record, first on line {first}"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("tag, counted", [("obs_point", "point"), ("init_point", "point"), ("init_camera", "camera")])
+def test_load_problem_rejects_record_beyond_the_count(tmp_path, tag, counted):
+    path, lines = _saved_lines(tmp_path)
+    count = sum(line.startswith(f"{counted} ") for line in lines)
+    extra = lines[next(i for i, line in enumerate(lines) if line.startswith(f"{tag} 0 "))].replace(" 0 ", f" {count} ", 1)
+    path.write_text("\n".join(lines + [extra]) + "\n")
+    with pytest.raises(
+        ValueError, match=f"problem.txt:{len(lines) + 1}: {tag} record {count} is out of range for {count} {counted} records"
+    ):
+        load_problem(path)
+
+

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import os
 
@@ -191,6 +192,36 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert (out_serial / name).read_bytes() == (out_par / name).read_bytes()
 
 
+@pytest.mark.parametrize("seeds, workers", [("1,2,3", [3]), ("1", [])])
+def test_jobs_pool_has_at_most_one_worker_per_seed(tmp_path, monkeypatch, seeds, workers):
+    import qlma.cli as cli
+
+    made = []
+
+    class InlineExecutor:
+        """Records max_workers and runs each job at submit; starts no process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, arg):
+            future = concurrent.futures.Future()
+            future.set_result(fn(arg))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    out = tmp_path / "run"
+    assert main(["run", "--seeds", seeds, "--iters", "1", "--backend", "classical", "--jobs", "5000", "--out", str(out)]) == 0
+    assert made == workers
+    assert len(list(out.glob("trace_seed*.csv"))) == len(seeds.split(","))
+
+
 def test_run_preserves_partial_outputs_on_failure(tmp_path, monkeypatch):
     import qlma.cli as cli
 
@@ -246,6 +277,7 @@ def test_run_batch_raises_when_a_seed_fails(monkeypatch):
         ("iters\n", "expected key=value"),
         ("timing=yes\n", "config key 'timing' has an invalid value 'yes'"),
         ("timing=\n", "config key 'timing' has an invalid value ''"),
+        ("seeds=1\nseeds=2,3\n", "qlma.cfg:2: repeated config key 'seeds'"),
     ],
 )
 def test_bad_config_file_fails_with_one_line(tmp_path, capsys, text, message):

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qlma.hhl import (
     hhl_solve,
     inversion_rotation_circuit,
     _apply_controlled_block,
+    _inversion_table,
     _nearest_unitary,
     _squaring_chain,
     minimal_hhl_circuit,
@@ -32,6 +35,7 @@ from qlma.sim import (
     apply_gate,
     circuit_unitary,
     gate_counts,
+    gate_matrix,
     h,
     inverse_circuit,
     measure_distribution,
@@ -183,6 +187,19 @@ def test_preparation_amplitudes_property(k, seed, zeros):
     v /= np.linalg.norm(v)
     out = apply_circuit(StateVector.zero(k), state_preparation_circuit(v))
     assert np.max(np.abs(out.amplitudes - v)) <= 1e-12
+
+
+def test_preparation_leaves_no_cyclic_garbage():
+    """A dropped preparation circuit is freed by reference counting alone."""
+    v = np.random.default_rng(4).normal(size=32)
+    circuit = state_preparation_circuit(v / np.linalg.norm(v))
+    gc.disable()
+    try:
+        ref = weakref.ref(state_preparation_circuit(v / np.linalg.norm(v)).ops[0])
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(circuit.ops) > 1
 
 
 def test_preparation_rejects_unnormalized():
@@ -427,6 +444,34 @@ def test_gate_tally_structure():
     assert two > 1000
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("slices", [1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("identity_term", [True, False])
+def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, identity_term):
+    """The compositional tally equals the gate counts of the unrolled
+    pipeline: preparation, phase estimation, inversion and its mirror."""
+    rng = np.random.default_rng(dim * 100 + m)
+    a = rng.normal(size=(dim, dim))
+    # a dilation is traceless, so its decomposition has no identity term
+    problem = embed_problem(a + a.T, rng.normal(size=dim), force_dilation=not identity_term)
+    terms = decompose_hermitian(problem.matrix).terms
+    assert any(set(label) == {"I"} for _, label in terms) == identity_term
+    config = HhlConfig(n_phase_qubits=m, slices=slices, order=order)
+    k = problem.n_data_qubits
+    phase_qubits = list(range(k, k + m))
+    spec = EvolutionSpec(decompose_hermitian(problem.matrix), -math.pi / spectral_bound(problem.matrix), slices, order)
+    forward = qpe_circuit(spec, phase_qubits)
+    ops = (
+        state_preparation_circuit(problem.rhs).ops
+        + forward.ops
+        + inversion_rotation_circuit(phase_qubits, k + m, 2.0**-m).ops
+        + inverse_circuit(forward).ops
+    )
+    assert hhl_gate_tally(problem, config) == gate_counts(Circuit(k + m + 1, ops))
+
+
 # ---------------------------------------------------------------------------
 # reference pipelines
 # ---------------------------------------------------------------------------
@@ -525,27 +570,34 @@ def full_register_hhl_solve(problem, config):
     return (*_reference_readout(problem, state, k, m, constant, bound), register)
 
 
-def test_solve_reuses_an_inversion_circuit_equal_to_a_fresh_one(monkeypatch):
-    """hhl_solve builds its inversion circuit once per (k, m, C); the cached
-    circuit has the ops inversion_rotation_circuit builds afresh."""
-    applied = []
+def test_solve_reuses_an_inversion_table_equal_to_a_fresh_circuit(monkeypatch):
+    """hhl_solve reads its inversion off a table cached per (m, C): the
+    register values and rotation matrices of inversion_rotation_circuit's
+    ops, read-only."""
+    tables = []
 
-    def spy(state, circuit):
-        applied.append(circuit)
-        return apply_circuit(state, circuit)
+    def spy(n_phase, constant):
+        tables.append(_inversion_table(n_phase, constant))
+        return tables[-1]
 
-    monkeypatch.setattr(qlma.hhl, "apply_circuit", spy)
+    monkeypatch.setattr(qlma.hhl, "_inversion_table", spy)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 4))
     problem = embed_problem(a + a.T, rng.normal(size=4))
     config = HhlConfig(n_phase_qubits=4)
     first, second = hhl_solve(problem, config), hhl_solve(problem, config)
-    k, m = problem.n_data_qubits, config.n_phase_qubits
-    inversions = [c for c in applied if c.ops and all(op.kind == "cry" for op in c.ops)]
-    assert len(inversions) == 2 and inversions[0] is inversions[1]
-    _, fresh = _reference_inversion(first.register_distribution, config, list(range(k, k + m)), k + m)
-    assert inversions[0] == fresh and len(fresh.ops) > 1
+    assert len(tables) == 2 and tables[0] is tables[1]
     assert first.solution.tobytes() == second.solution.tobytes()
+    k, m = problem.n_data_qubits, config.n_phase_qubits
+    _, fresh = _reference_inversion(first.register_distribution, config, list(range(k, k + m)), k + m)
+    values, mats = tables[0]
+    assert len(fresh.ops) > 1 and values.tolist() == [
+        sum(s << j for j, s in enumerate(op.control_states)) for op in fresh.ops
+    ]
+    assert mats.tobytes() == np.stack([gate_matrix(op) for op in fresh.ops])[:, None].tobytes()
+    for table in (values, mats):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 @st.composite

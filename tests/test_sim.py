@@ -338,7 +338,7 @@ def test_circuit_passes_are_computed_once_and_read_only():
     first = apply_circuit(state, circuit).amplitudes
     passes = circuit._passes
     assert apply_circuit(state, circuit).amplitudes.tobytes() == first.tobytes() == expected.tobytes()
-    assert circuit._passes is passes and len(passes) == 4  # the two rotations share a pass
+    assert circuit._passes is passes and len(passes) == 5  # one pass per op
     for i0, i1, coeffs in passes:
         assert not coeffs.flags.writeable
         with pytest.raises(ValueError):
