@@ -86,7 +86,7 @@ class HermitianDecomposition:
 
     def __post_init__(self):
         for coef, label in self.terms:
-            if len(label) != self.n_qubits or any(ch not in PAULI_LABELS for ch in label):
+            if not isinstance(label, str) or len(label) != self.n_qubits or label.strip(PAULI_LABELS):
                 raise SimulationError(f"bad Pauli label {label!r} for {self.n_qubits} qubits")
             if not math.isfinite(coef):
                 raise SimulationError("non-finite coefficient")
@@ -118,12 +118,8 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     coeffs = functools.reduce(np.add, products.T, np.zeros(4**n_qubits, dtype=complex)) / dim
     if np.max(np.abs(coeffs.imag)) > HERMITIAN_TOL * scale:
         raise SimulationError("non-real Pauli coefficients")
-    terms = [
-        (float(c.real), lbl)
-        for c, lbl in zip(coeffs, labels)
-        if abs(c.real) > COEFF_TOL
-    ]
-    terms.sort(key=lambda t: (-abs(t[0]), t[1]))
+    kept = np.flatnonzero(np.abs(coeffs.real) > COEFF_TOL)
+    terms = sorted(zip(coeffs.real[kept].tolist(), [labels[a] for a in kept]), key=lambda t: (-abs(t[0]), t[1]))
     return HermitianDecomposition(n_qubits, tuple(terms))
 
 
@@ -157,35 +153,41 @@ class EvolutionSpec:
 # Matrix form of the evolution.  One slice is a short product of closed-form
 # Pauli exponentials (P**2 = I gives e^{-icPs} = cos(cs) I - i sin(cs) P), and
 # the full evolution is a matrix power of that slice, so the slice count is
-# essentially free here.  The gate form below applies the same term sequence.
+# essentially free here.  Each slice computes its cos(cs) values, i sin(cs) P
+# rows and flat scatter indices of P's nonzeros once, then writes every term
+# into one reused buffer before the dense product.  The gate form below
+# applies the same term sequence.
 # ---------------------------------------------------------------------------
 
-def _slice_sequence(terms, tau: float, order: int) -> list[tuple[float, str, float]]:
-    """(coef, label, time) of one slice's term exponentials in application
-    order: each term once at tau (order 1), or forward then reversed at
-    tau / 2 (order 2)."""
+def _slice_sequence(n_terms: int, tau: float, order: int) -> tuple[list[int], float]:
+    """Term indices of one slice's exponentials in application order, and
+    their shared time: each term once at tau (order 1), or forward then
+    reversed at tau / 2 (order 2)."""
     if order == 1:
-        return [(coef, label, tau) for coef, label in terms]
-    half = [(coef, label, tau / 2) for coef, label in terms]
-    return half + half[::-1]
+        return list(range(n_terms)), tau
+    return [*range(n_terms), *range(n_terms - 1, -1, -1)], tau / 2
 
 
 def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
     """Dense unitary of a single time slice (t / slices)."""
-    n = spec.decomposition.n_qubits
+    n, terms = spec.decomposition.n_qubits, spec.decomposition.terms
     dim = 2**n
-    eye = np.eye(dim, dtype=complex)
+    sequence, s = _slice_sequence(len(terms), spec.time / spec.slices, spec.order)
     _, cols, phases = _pauli_table(n)
     index = _pauli_index(n)
-    rows = np.arange(dim)
-
+    table_rows = [index[label] for _, label in terms]
+    cosines = [math.cos(coef * s) for coef, _ in terms]
+    sines = np.array([1j * math.sin(coef * s) for coef, _ in terms]).reshape(-1, 1) * phases[table_rows]
+    scatter = np.arange(0, dim * dim, dim) + cols[table_rows]  # flat (row, col) of P's nonzeros
+    eye = np.eye(dim, dtype=complex)
+    term = np.empty_like(eye)
+    flat = term.reshape(-1)
     out = eye
-    for coef, label, s in _slice_sequence(spec.decomposition.terms, spec.time / spec.slices, spec.order):
+    for k in sequence:
         # cos(cs) I - i sin(cs) P, written only at P's nonzeros: subtracting
         # P's zeros would leave every entry of cos(cs) I bit for bit as it is.
-        a = index[label]
-        term = math.cos(coef * s) * eye
-        term[rows, cols[a]] -= 1j * math.sin(coef * s) * phases[a]
+        np.multiply(cosines[k], eye, out=term)
+        flat[scatter[k]] -= sines[k]
         out = term @ out
     return out
 
@@ -255,8 +257,9 @@ def trotter_circuit(spec: EvolutionSpec, controlled_by: tuple[int, int] | None =
     acting = [(c, lbl) for c, lbl in dec.terms if set(lbl) != {"I"}]
 
     slice_ops: list[GateOp] = []
-    for coef, label, s in _slice_sequence(acting, tau, spec.order):
-        slice_ops.extend(_term_gates(coef, label, s, control))
+    sequence, s = _slice_sequence(len(acting), tau, spec.order)
+    for k in sequence:
+        slice_ops.extend(_term_gates(*acting[k], s, control))
 
     ops = slice_ops * repeats
     if identity_coef:

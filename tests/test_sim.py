@@ -306,9 +306,10 @@ def test_apply_gate_bit_identical_to_mask_kernel(drawn, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_apply_circuit_bit_identical_on_rotation_runs(n, data, seed):
-    """Runs of same-target rotations (the eigenvalue inversion) are applied in
-    one pass; a repeated control pattern, another gate in between, or
-    another control tuple must split the run without changing a bit."""
+    """apply_circuit on runs of same-target multi-controlled rotations (the
+    eigenvalue inversion's shape), with repeated control patterns, a shorter
+    control tuple or a Hadamard in between, gives the bytes of the per-gate
+    mask kernel."""
     target = data.draw(st.integers(0, n - 1))
     others = [q for q in range(n) if q != target]
     controls = tuple(data.draw(st.permutations(others))[: data.draw(st.integers(1, len(others)))])

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian, schur_reduce
+from qlma.hhl import embed_problem
+from qlma.optimizer import _hhl_lambda_bound
 from qlma.sim import SimulationError, StateVector, apply_circuit, circuit_unitary
 from qlma.trotter import (
     EvolutionSpec,
@@ -71,6 +75,12 @@ def test_decompose_rejects_non_hermitian():
 def test_decompose_rejects_non_finite(matrix):
     with pytest.raises(SimulationError, match="non-finite"):
         decompose_hermitian(np.array(matrix))
+
+
+@pytest.mark.parametrize("label", [("X", "I"), ["X", "I"], b"XI", "xI", "X ", "XIZ", "X"])
+def test_decomposition_rejects_bad_labels(label):
+    with pytest.raises(SimulationError, match="bad Pauli label"):
+        HermitianDecomposition(2, ((1.0, label),))
 
 
 def test_decompose_rejects_bad_size():
@@ -347,3 +357,25 @@ def test_decompose_has_no_qubit_cap():
     m = 0.5 * pauli_string_matrix("XIYZIIX") - 0.25 * pauli_string_matrix("ZZZZZZZ") + 0.125 * np.eye(128)
     dec = decompose_hermitian(m)
     assert dec.terms == ((0.5, "XIYZIIX"), (-0.25, "ZZZZZZZ"), (0.125, "IIIIIII"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_production_system_bytes_equal_dense_reference(seed):
+    """The hhl backend's own shape: the dilated 32x32 Schur system at the
+    initial guess, as lma_step builds it (5 qubits, ~136 terms, 50 slices)."""
+    prob = generate_problem(seed)
+    r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
+    s, rhs = schur_reduce(build_normal_equations(r, jac, 0.01, 0.01, m_c=12))
+    matrix = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True).matrix
+    dec = decompose_hermitian(matrix)
+    assert dec.n_qubits == 5 and dec.terms == dense_decompose_terms(matrix)
+    spec = EvolutionSpec(dec, -math.pi / _hhl_lambda_bound(matrix, 3), slices=50, order=2)
+    assert slice_matrix(spec).tobytes() == dense_slice_matrix(spec).tobytes()
+    # the terms go through one reused buffer, never a (K, 32, 32) stack
+    tracemalloc.start()
+    try:
+        slice_matrix(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * matrix.size * np.dtype(complex).itemsize
