@@ -49,7 +49,6 @@ from .sim import (
     apply_gate,
     gate_counts,
     measure_distribution,
-    post_select,
 )
 from .trotter import (
     EvolutionSpec,

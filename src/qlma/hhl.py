@@ -97,14 +97,15 @@ def _next_power_of_two(n: int) -> int:
 
 
 def embed_problem(matrix: np.ndarray, rhs: np.ndarray, force_dilation: bool = False) -> HermitianProblem:
-    """Embed a real square system into power-of-two Hermitian form.
+    """Embed a real symmetric system into power-of-two Hermitian form.
 
-    Zero-pads to the next power of two with an identity diagonal on the
-    padded block and zeros in the rhs.  A non-symmetric padded matrix (or
-    force_dilation=True, the 12 -> 16 -> 32 expansion the optimizer's
-    quantum backend always applies) is then dilated to [[0, M], [M^T, 0]]
-    with the rhs in the first block; the solution of the dilated system
-    lives in the second block, which works for any invertible M.
+    A matrix whose asymmetry exceeds HERMITIAN_TOL (relative to its largest
+    entry, at least 1) is rejected; the rest is symmetrized once, as
+    (M + M^T) / 2, to drop roundoff asymmetry.  Zero-pads to the next power
+    of two with an identity diagonal on the padded block and zeros in the
+    rhs.  force_dilation=True (the 12 -> 16 -> 32 expansion the optimizer's
+    quantum backend always applies) then dilates to [[0, M], [M, 0]] with
+    the rhs in the first block; the solution lives in the second block.
     """
     m = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -115,25 +116,20 @@ def embed_problem(matrix: np.ndarray, rhs: np.ndarray, force_dilation: bool = Fa
     norm = float(np.linalg.norm(b))
     if norm == 0.0:
         raise HhlError("rhs is zero")
+    if np.max(np.abs(m - m.T)) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))):
+        raise HhlError("matrix is not symmetric")
 
     dim0 = m.shape[0]
     dim = _next_power_of_two(dim0)
     padded = np.eye(dim)
-    padded[:dim0, :dim0] = m
+    padded[:dim0, :dim0] = (m + m.T) / 2.0
     b_pad = np.zeros(dim)
     b_pad[:dim0] = b
-
-    symmetric = np.max(np.abs(padded - padded.T)) <= HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m))))
-    if symmetric and not force_dilation:
-        padded = (padded + padded.T) / 2.0  # drop roundoff asymmetry
-        return HermitianProblem(padded, b_pad / norm, norm, dim0, dilated=False)
-
+    if not force_dilation:
+        return HermitianProblem(padded, b_pad / norm, norm, dim0)
     dilated = np.zeros((2 * dim, 2 * dim))
-    dilated[:dim, dim:] = padded
-    dilated[dim:, :dim] = padded.T
-    b_dil = np.zeros(2 * dim)
-    b_dil[:dim] = b_pad
-    return HermitianProblem(dilated, b_dil / norm, norm, dim0, dilated=True)
+    dilated[:dim, dim:] = dilated[dim:, :dim] = padded
+    return HermitianProblem(dilated, np.concatenate([b_pad, np.zeros(dim)]) / norm, norm, dim0, dilated=True)
 
 
 def project_solution(problem: HermitianProblem, embedded: np.ndarray) -> np.ndarray:
@@ -188,6 +184,16 @@ def bin_phase(value: int, n_phase_qubits: int) -> float:
     if value <= half:
         return value / 2**n_phase_qubits
     return (value - 2**n_phase_qubits) / 2**n_phase_qubits
+
+
+def _hhl_lambda_bound(matrix: np.ndarray, n_phase_qubits: int) -> float:
+    """Tight bound placing the largest |eigenvalue| on the next-to-top
+    positive register bin, so the mirrored negative spectrum of the
+    dilation stays distinguishable from it."""
+    top = float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
+    half = 2 ** (n_phase_qubits - 1)
+    factor = half / (half - 1) if half > 1 else 2.0
+    return top * factor
 
 
 def state_preparation_circuit(rhs: np.ndarray) -> Circuit:

@@ -30,7 +30,7 @@ from .ba import (
     schur_reduce,
     total_cost,
 )
-from .hhl import HhlConfig, embed_problem, hhl_solve
+from .hhl import HhlConfig, _hhl_lambda_bound, embed_problem, hhl_solve
 from .sim import SimulationError
 
 ZERO_COST = 1e-12
@@ -113,16 +113,6 @@ def update_damping(lambda1: float, omega: float, dcost_sq: float, cfg: DampingCo
     return lambda1
 
 
-def _hhl_lambda_bound(matrix: np.ndarray, n_phase_qubits: int) -> float:
-    """Tight bound placing the largest |eigenvalue| on the next-to-top
-    positive register bin, so the mirrored negative spectrum of the
-    dilation stays distinguishable from it."""
-    top = float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
-    half = 2 ** (n_phase_qubits - 1)
-    factor = half / (half - 1) if half > 1 else 2.0
-    return top * factor
-
-
 def lma_step(
     residuals: np.ndarray,
     jacobian: np.ndarray,
@@ -146,7 +136,6 @@ def lma_step(
     if backend.kind == "classical-schur":
         delta_cam = np.linalg.solve(s, -rhs)
     else:
-        s = (s + s.T) / 2.0  # reduction leaves roundoff asymmetry
         problem = embed_problem(s, -rhs, force_dilation=True)
         cfg = backend.hhl
         if cfg.lambda_bound is None:
@@ -255,25 +244,3 @@ def write_trace_csv(trace: ConvergenceTrace, path, record_timing: bool = False) 
                     f"{r.seconds:.6f}" if record_timing else "0.000000",
                 ]
             )
-
-
-def read_trace_csv(path) -> ConvergenceTrace:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        problem = ""
-        for row in reader:
-            problem = row["problem"]
-            records.append(
-                IterationRecord(
-                    int(row["iteration"]),
-                    float(row["cost"]),
-                    float(row["lambda1"]),
-                    float(row["omega"]),
-                    float(row["step_norm"]),
-                    bool(int(row["accepted"])),
-                    row["backend"],
-                    float(row["seconds"]),
-                )
-            )
-    return ConvergenceTrace(problem, records)

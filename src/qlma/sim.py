@@ -286,25 +286,6 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return state
 
 
-def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
-    """Condition on measuring `outcome` on `qubit`.
-
-    Returns the renormalized conditional state (the qubit stays in the
-    register, collapsed) and the probability of that outcome.
-    """
-    if not 0 <= qubit < state.n_qubits:
-        raise SimulationError(f"qubit {qubit} out of range")
-    if outcome not in (0, 1):
-        raise SimulationError("outcome must be 0 or 1")
-    idx = np.arange(state.amplitudes.size)
-    keep = ((idx >> qubit) & 1) == outcome
-    prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
-    if prob < 1e-12:
-        raise SimulationError(f"post-selection on qubit {qubit}={outcome} has probability {prob}")
-    amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(prob)
-    return StateVector(state.n_qubits, amps), prob
-
-
 @functools.lru_cache(maxsize=64)
 def _register_key(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Each amplitude's register value over `qubits` (bit j from qubits[j])."""
@@ -347,21 +328,3 @@ def gate_counts(circuit: Circuit) -> tuple[int, int, dict[str, int]]:
         else:
             one_qubit += 1
     return one_qubit, two_qubit, per_kind
-
-
-def op_unitary(op: GateOp, n_qubits: int) -> np.ndarray:
-    """Full 2**n x 2**n embedding of one gate."""
-    dim = 2**n_qubits
-    cols = []
-    for b in range(dim):
-        cols.append(apply_gate(StateVector.basis(n_qubits, b), op).amplitudes)
-    return np.column_stack(cols)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (small circuits only)."""
-    dim = 2**circuit.n_qubits
-    mat = np.eye(dim, dtype=complex)
-    for op in circuit.ops:
-        mat = op_unitary(op, circuit.n_qubits) @ mat
-    return mat

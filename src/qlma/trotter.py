@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,23 +29,8 @@ from .sim import (
 )
 
 PAULI_LABELS = "IXYZ"
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 HERMITIAN_TOL = 1e-10
 COEFF_TOL = 1e-12
-
-
-def pauli_string_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string; label[q] acts on qubit q."""
-    m = np.array([[1.0]], dtype=complex)
-    for q in range(len(label) - 1, -1, -1):
-        m = np.kron(m, _PAULI_1Q[label[q]])
-    return m
 
 
 @functools.lru_cache(maxsize=8)
@@ -88,6 +74,8 @@ class HermitianDecomposition:
         for coef, label in self.terms:
             if not isinstance(label, str) or len(label) != self.n_qubits or label.strip(PAULI_LABELS):
                 raise SimulationError(f"bad Pauli label {label!r} for {self.n_qubits} qubits")
+            if isinstance(coef, bool) or not isinstance(coef, numbers.Real):
+                raise SimulationError(f"coefficient {coef!r} is not a real number")
             if not math.isfinite(coef):
                 raise SimulationError("non-finite coefficient")
 
@@ -121,14 +109,6 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     kept = np.flatnonzero(np.abs(coeffs.real) > COEFF_TOL)
     terms = sorted(zip(coeffs.real[kept].tolist(), [labels[a] for a in kept]), key=lambda t: (-abs(t[0]), t[1]))
     return HermitianDecomposition(n_qubits, tuple(terms))
-
-
-def reconstruct(decomposition: HermitianDecomposition) -> np.ndarray:
-    dim = 2**decomposition.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for coef, label in decomposition.terms:
-        out += coef * pauli_string_matrix(label)
-    return out
 
 
 @dataclass(frozen=True)

