@@ -25,7 +25,6 @@ from .hhl import (
     hhl_gate_tally,
     hhl_solve,
     inversion_rotation_circuit,
-    minimal_hhl_circuit,
     state_preparation_circuit,
 )
 from .jets import Jet
@@ -55,7 +54,6 @@ from .trotter import (
     HermitianDecomposition,
     decompose_hermitian,
     inverse_qft_circuit,
-    qpe_circuit,
     trotter_circuit,
 )
 

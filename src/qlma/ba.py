@@ -175,30 +175,12 @@ def project(camera: Camera, point) -> np.ndarray:
     return np.array(uv)
 
 
-def _camera_pose(scene: Scene, theta, j: int):
-    """Effective (quaternion, position) of camera j at parameters theta."""
-    base = scene.cameras[j]
-    w = (theta[6 * j], theta[6 * j + 1], theta[6 * j + 2])
-    pos = (theta[6 * j + 3], theta[6 * j + 4], theta[6 * j + 5])
-    if w[0] == 0.0 and w[1] == 0.0 and w[2] == 0.0:
-        quat = tuple(base.quaternion)  # exact: keeps a zero-noise cost at exactly 0
-    else:
-        quat = quat_normalize(quat_mul(quat_from_rotvec(w), tuple(base.quaternion)))
-    return quat, pos
-
-
-def total_cost(scene: Scene, theta: np.ndarray | None = None) -> float:
+def total_cost(scene: Scene) -> float:
     """Sum over observations of the Euclidean reprojection distance."""
-    if theta is None:
-        theta = scene.initial_params()
-    nc = scene.n_camera_params
+    cameras = [(tuple(c.quaternion), tuple(c.position), c.focal, tuple(c.principal_point)) for c in scene.cameras]
     cost = 0.0
-    poses = [_camera_pose(scene, theta, j) for j in range(len(scene.cameras))]
     for (i, j), u in scene.observations.items():
-        base = scene.cameras[j]
-        pt = (theta[nc + 3 * i], theta[nc + 3 * i + 1], theta[nc + 3 * i + 2])
-        quat, pos = poses[j]
-        du, dv = _project_generic(quat, pos, base.focal, tuple(base.principal_point), pt)
+        du, dv = _project_generic(*cameras[j], tuple(scene.points[i]))
         cost += math.sqrt((u[0] - du) ** 2 + (u[1] - dv) ** 2)
     return cost
 
@@ -493,6 +475,13 @@ def load_problem(path) -> BaProblem:
                     index, value = int(parts[1]), np.array([float(v) for v in parts[2:]])
             except ValueError as exc:
                 raise ValueError(f"{where}: malformed {tag} record: {exc}") from None
+            if tag != "seed" and not np.all(np.isfinite(value)):
+                raise ValueError(f"{where}: non-finite number in {tag} record")
+            if tag in ("camera", "init_camera"):
+                try:
+                    value = Camera(value[0:4], value[4:7], float(value[7]), value[8:10])
+                except ValueError as exc:  # a quaternion that is not of unit norm
+                    raise ValueError(f"{where}: {tag} record {index}: {exc}") from None
             if (tag, index) in first_line:
                 name = " ".join(parts[: 1 if index is None else 3 if tag == "obs" else 2])
                 raise ValueError(f"{where}: repeated {name} record, first on line {first_line[tag, index]}")
@@ -502,28 +491,30 @@ def load_problem(path) -> BaProblem:
             else:
                 records[tag][index] = value
 
-    for tag, counted in (("obs_point", "point"), ("init_point", "point"), ("init_camera", "camera")):
-        count = len(records[counted])
+    # each tag with the record types its indices count
+    indexed = {"obs_point": ("point",), "init_point": ("point",), "init_camera": ("camera",), "obs": ("point", "camera")}
+    for tag, counted_by in indexed.items():
         for index in records[tag]:
-            if not 0 <= index < count:
-                raise ValueError(
-                    f"{path}:{first_line[tag, index]}: {tag} record {index} is out of range for {count} {counted} records"
-                )
+            indices = index if tag == "obs" else (index,)
+            for value, counted in zip(indices, counted_by):
+                count = len(records[counted])
+                if not 0 <= value < count:
+                    name = " ".join(map(str, indices))
+                    raise ValueError(
+                        f"{path}:{first_line[tag, index]}: {tag} record {name} is out of range for {count} {counted} records"
+                    )
 
-    def rows(tag: str, count: int) -> list[np.ndarray]:
+    def rows(tag: str, count: int) -> list:
         missing = [i for i in range(count) if i not in records[tag]]
         if missing:
             raise ValueError(f"{path}: missing {tag} record {missing[0]}")
         return [records[tag][i] for i in range(count)]
 
-    def cameras(tag: str) -> list[Camera]:
-        return [Camera(v[0:4], v[4:7], float(v[7]), v[8:10]) for v in rows(tag, len(records["camera"]))]
-
     n_pts = len(records["point"])
     points = np.vstack(rows("point", n_pts))
-    cams = cameras("camera")
+    cams = rows("camera", len(records["camera"]))
     init_points = np.vstack(rows("init_point", n_pts))
-    init_cams = cameras("init_camera")
+    init_cams = rows("init_camera", len(records["camera"]))
     obs_points = np.vstack(rows("obs_point", n_pts))
     observations = records["obs"]
     truth = Scene(points, cams, observations)

@@ -44,10 +44,7 @@ from .optimizer import (
 )
 from .svg import write_line_plot
 
-DEFAULT_SEEDS = tuple(range(1, 10))
-RUN_KEYS = ("seeds", "setup", "backend", "iters", "out", "slices", "phase_qubits", "jobs", "timing", "noise_on")
-# compare writes no trace, so it takes no timing key but a second configuration
-COMPARE_KEYS = tuple(k for k in RUN_KEYS if k != "timing") + ("seeds_b", "setup_b", "backend_b")
+NOISE_TARGETS = ("points3d", "keypoints")
 BACKEND_ALIASES = {
     "classical": "classical-schur",
     "classical-schur": "classical-schur",
@@ -56,19 +53,51 @@ BACKEND_ALIASES = {
 }
 
 
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(",") if s.strip())
+
+
+def _parse_switch(text: str) -> bool:
+    """0, 1, false or true, in any letter case."""
+    value = {"0": False, "1": True, "false": False, "true": True}.get(text.lower())
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
+# Every run setting once: key -> (RunConfig field, config-file parser, flag options).
+RUN_SETTINGS = {
+    "seeds": ("seeds", _parse_seeds, {"help": "comma-separated seed list"}),
+    "setup": ("setup", int, {"choices": tuple(SETUPS)}),
+    "backend": ("backend", str, {"choices": sorted(BACKEND_ALIASES)}),
+    "iters": ("max_iters", int, {}),
+    "out": ("output_dir", str, {}),
+    "slices": ("trotter_slices", int, {}),
+    "phase_qubits": ("phase_qubits", int, {}),
+    "jobs": ("jobs", int, {}),
+    "timing": ("timing", _parse_switch, {"action": "store_true"}),
+    "noise_on": ("noise_on", str, {"choices": NOISE_TARGETS}),
+}
+RUN_KEYS = tuple(RUN_SETTINGS)
+# compare writes no trace, so it takes no timing key, but a second setup and
+# backend; both configurations share every other setting, seeds included
+SECOND_CONFIG_KEYS = ("setup", "backend")
+COMPARE_KEYS = tuple(k for k in RUN_KEYS if k != "timing") + tuple(f"{k}_b" for k in SECOND_CONFIG_KEYS)
+
+
 class InputError(ValueError):
     """Bad input from outside the program: a flag, config file or environment variable."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    seeds: tuple[int, ...] = tuple(range(1, 10))
     setup: int = 1
     backend: str = "classical"
     max_iters: int = 40
     output_dir: str = "."
-    trotter_slices: int = 50
-    phase_qubits: int = 3
+    trotter_slices: int = HhlConfig.slices
+    phase_qubits: int = HhlConfig.n_phase_qubits
     jobs: int = 1
     timing: bool = False
     noise_on: str = "points3d"
@@ -80,16 +109,12 @@ class RunConfig:
             raise InputError("setup must be 1 or 2")
         if self.backend not in BACKEND_ALIASES:
             raise InputError(f"unknown backend {self.backend!r}")
-        if self.noise_on not in ("points3d", "keypoints"):
+        if self.noise_on not in NOISE_TARGETS:
             raise InputError(f"noise_on must be points3d or keypoints, got {self.noise_on!r}")
-        if self.trotter_slices < 1:
-            raise InputError(f"slices must be at least 1, got {self.trotter_slices}")
-        if self.phase_qubits < 1:
-            raise InputError(f"phase_qubits must be at least 1, got {self.phase_qubits}")
-        if self.max_iters < 1:
-            raise InputError(f"iters must be at least 1, got {self.max_iters}")
-        if self.jobs < 1:
-            raise InputError(f"jobs must be at least 1, got {self.jobs}")
+        for key in ("slices", "phase_qubits", "iters", "jobs"):
+            value = getattr(self, RUN_SETTINGS[key][0])
+            if value < 1:
+                raise InputError(f"{key} must be at least 1, got {value}")
 
     def resolved_backend(self) -> LinearBackend:
         kind = BACKEND_ALIASES[self.backend]
@@ -207,8 +232,11 @@ def cmd_run(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def cmd_compare(config_a: RunConfig, config_b: RunConfig, output_dir: str) -> int:
-    _make_output_dir(output_dir)
+def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
+    """Overlay both configurations per seed; config_b shares config_a's
+    seeds and output directory and differs only in setup and backend."""
+    _offset_seeds(config_a.seeds)  # reject bad seeds before making the directory
+    _make_output_dir(config_a.output_dir)
     try:
         traces_a = run_batch(config_a)
         traces_b = run_batch(config_b)
@@ -223,7 +251,7 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig, output_dir: str) -> in
     costs_a, seeds = aligned_costs(traces_a)
     costs_b, _ = aligned_costs(traces_b)
     for row, seed in enumerate(seeds):
-        path = os.path.join(output_dir, f"compare_seed{seed}.csv")
+        path = os.path.join(config_a.output_dir, f"compare_seed{seed}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", f"cost_{label_a}", f"cost_{label_b}"])
@@ -236,7 +264,7 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig, output_dir: str) -> in
             label_a: (list(range(1, costs_a.shape[1] + 1)), list(costs_a[row])),
             label_b: (list(range(1, costs_b.shape[1] + 1)), list(costs_b[row])),
         }
-        write_line_plot(os.path.join(output_dir, f"compare_seed{seed}.svg"), series, f"problem {seed}")
+        write_line_plot(os.path.join(config_a.output_dir, f"compare_seed{seed}.svg"), series, f"problem {seed}")
     return 0
 
 
@@ -245,8 +273,7 @@ def cmd_noise(
     measured_qubits: int,
     iterations: int,
     own_counts: bool,
-    slices: int,
-    phase_qubits: int,
+    hhl: HhlConfig,
     p_single: float | None = None,
 ) -> int:
     n1, n2 = REFERENCE_COUNTS
@@ -268,7 +295,7 @@ def cmd_noise(
         ne = build_normal_equations(r, jac, SETUPS[1].lambda1_init, SETUPS[1].lambda2, m_c=problem.initial.n_camera_params)
         s, rhs = schur_reduce(ne)
         embedded = embed_problem(s, -rhs, force_dilation=True)
-        one, two, per = hhl_gate_tally(embedded, HhlConfig(n_phase_qubits=phase_qubits, slices=slices))
+        one, two, per = hhl_gate_tally(embedded, hhl)
         print("own unrolled tally:", " ".join(f"{k}={v}" for k, v in sorted(per.items())))
         print(f"own totals: one-qubit={one} two-qubit={two}")
         print(f"single-run success with own counts: {success_probability((one, two), 0, rates):.6e}")
@@ -286,18 +313,6 @@ def cmd_gen(seeds, output_dir: str, noise_on: str) -> int:
         problem = generate_problem(seed, noise_on=noise_on)
         save_problem(problem, os.path.join(output_dir, f"problem_seed{seed}.txt"))
     return 0
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s.strip())
-
-
-def _parse_switch(text: str) -> bool:
-    """0, 1, false or true, in any letter case."""
-    value = {"0": False, "1": True, "false": False, "true": True}.get(text.lower())
-    if value is None:
-        raise ValueError(text)
-    return value
 
 
 def _load_config_file(path: str, valid_keys: tuple[str, ...]) -> dict[str, str]:
@@ -323,22 +338,13 @@ def _load_config_file(path: str, valid_keys: tuple[str, ...]) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, file_values: dict[str, str], key: str, default, cast):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except ValueError:
-            raise InputError(f"config key {key!r} has an invalid value {file_values[key]!r}") from None
-    return default
-
-
-def _add_run_flags(parser: argparse.ArgumentParser, suffix: str = "") -> None:
-    parser.add_argument(f"--seeds{suffix}", type=_parse_seeds, default=None, help="comma-separated seed list")
-    parser.add_argument(f"--setup{suffix}", type=int, choices=(1, 2), default=None)
-    parser.add_argument(f"--backend{suffix}", choices=sorted(BACKEND_ALIASES), default=None)
+def _add_flag(parser: argparse.ArgumentParser, key: str, **extra) -> None:
+    """The flag of a run setting, named after its key, which parses its value
+    as a config file does; a key ending in _b sets compare's second
+    configuration.  An unset flag is None."""
+    _, parse, options = RUN_SETTINGS[key.removesuffix("_b")]
+    kind = {} if "action" in options else {"type": parse}
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **{**kind, **options, **extra})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -346,24 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="optimize a batch of seeded problems")
-    _add_run_flags(run)
-    run.add_argument("--iters", type=int, default=None)
-    run.add_argument("--slices", type=int, default=None)
-    run.add_argument("--phase-qubits", dest="phase_qubits", type=int, default=None)
-    run.add_argument("--out", default=None)
-    run.add_argument("--jobs", type=int, default=None)
-    run.add_argument("--timing", action="store_true", default=None)
-    run.add_argument("--noise-on", dest="noise_on", choices=("points3d", "keypoints"), default=None)
+    for key in RUN_KEYS:
+        _add_flag(run, key)
     run.add_argument("--config", default=None, help="key=value config file; flags win")
 
     comp = sub.add_parser("compare", help="overlay two configurations per seed")
-    _add_run_flags(comp, "")
-    _add_run_flags(comp, "-b")
-    comp.add_argument("--iters", type=int, default=None)
-    comp.add_argument("--slices", type=int, default=None)
-    comp.add_argument("--phase-qubits", dest="phase_qubits", type=int, default=None)
-    comp.add_argument("--out", default=None)
-    comp.add_argument("--jobs", type=int, default=None)
+    for key in COMPARE_KEYS:
+        _add_flag(comp, key)
     comp.add_argument("--config", default=None)
 
     noise = sub.add_parser("noise", help="print hardware success estimates")
@@ -375,32 +370,30 @@ def _build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--iterations", type=int, default=10)
     noise.add_argument("--p-single", type=float, default=None)
     noise.add_argument("--own-counts", action="store_true")
-    noise.add_argument("--slices", type=int, default=None, help="with --own-counts (default 50)")
-    noise.add_argument("--phase-qubits", dest="phase_qubits", type=int, default=None, help="with --own-counts (default 3)")
+    for key in ("slices", "phase_qubits"):
+        default = getattr(RunConfig, RUN_SETTINGS[key][0])
+        _add_flag(noise, key, help=f"with --own-counts (default {default})")
 
     gen = sub.add_parser("gen", help="write problem files")
-    gen.add_argument("--seeds", type=_parse_seeds, default=None)
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--noise-on", dest="noise_on", choices=("points3d", "keypoints"), default=None)
+    for key in ("seeds", "out", "noise_on"):
+        _add_flag(gen, key)
     return parser
 
 
 def _run_config_from(args: argparse.Namespace, file_values: dict[str, str], suffix: str = "") -> RunConfig:
-    def key(name):
-        return f"{name}{suffix.replace('-', '_')}"
-
-    return RunConfig(
-        seeds=_resolve(args, file_values, key("seeds"), DEFAULT_SEEDS, _parse_seeds),
-        setup=_resolve(args, file_values, key("setup"), 1, int),
-        backend=_resolve(args, file_values, key("backend"), "classical", str),
-        max_iters=_resolve(args, file_values, "iters", 40, int),
-        output_dir=_resolve(args, file_values, "out", ".", str),
-        trotter_slices=_resolve(args, file_values, "slices", 50, int),
-        phase_qubits=_resolve(args, file_values, "phase_qubits", 3, int),
-        jobs=_resolve(args, file_values, "jobs", 1, int),
-        timing=_resolve(args, file_values, "timing", False, _parse_switch),
-        noise_on=_resolve(args, file_values, "noise_on", "points3d", str),
-    )
+    """Each setting from its flag, else from the config file, else RunConfig's
+    default; suffix "_b" reads compare's second setup and backend."""
+    values = {}
+    for key, (field, parse, _) in RUN_SETTINGS.items():
+        name = key + suffix if key in SECOND_CONFIG_KEYS else key
+        if getattr(args, name, None) is not None:
+            values[field] = getattr(args, name)
+        elif name in file_values:
+            try:
+                values[field] = parse(file_values[name])
+            except ValueError:
+                raise InputError(f"config key {name!r} has an invalid value {file_values[name]!r}") from None
+    return RunConfig(**values)
 
 
 def _check_noise_flags(args: argparse.Namespace) -> None:
@@ -440,20 +433,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    valid_keys = COMPARE_KEYS if args.command == "compare" else RUN_KEYS
-    file_values = _load_config_file(args.config, valid_keys) if getattr(args, "config", None) else {}
-
-    if args.command == "run":
-        return cmd_run(_run_config_from(args, file_values))
-    if args.command == "compare":
-        config_a = _run_config_from(args, file_values)
-        config_b = _run_config_from(args, file_values, suffix="_b")
-        if getattr(args, "seeds_b", None) is None and "seeds_b" not in file_values:
-            config_b = RunConfig(**{**config_b.__dict__, "seeds": config_a.seeds})
-        if _offset_seeds(config_a.seeds) != _offset_seeds(config_b.seeds):
-            raise InputError("compare requires both configurations to share seeds")
-        out = _resolve(args, file_values, "out", ".", str)
-        return cmd_compare(config_a, config_b, out)
     if args.command == "noise":
         _check_noise_flags(args)
         if args.preset:
@@ -464,17 +443,17 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args.two_qubit_rate if args.two_qubit_rate is not None else 0.0,
                 args.measurement_rate if args.measurement_rate is not None else 0.0,
             )
-        return cmd_noise(
-            rates, args.measured_qubits, args.iterations, args.own_counts,
-            args.slices if args.slices is not None else 50,
-            args.phase_qubits if args.phase_qubits is not None else 3,
-            args.p_single,
-        )
+        hhl = _run_config_from(args, {}).resolved_backend().hhl
+        return cmd_noise(rates, args.measured_qubits, args.iterations, args.own_counts, hhl, args.p_single)
+
+    valid_keys = COMPARE_KEYS if args.command == "compare" else RUN_KEYS
+    file_values = _load_config_file(args.config, valid_keys) if getattr(args, "config", None) else {}
+    config = _run_config_from(args, file_values)
+    if args.command == "compare":
+        return cmd_compare(config, _run_config_from(args, file_values, suffix="_b"))
     if args.command == "gen":
-        seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS
-        out = args.out if args.out is not None else "."
-        return cmd_gen(seeds, out, args.noise_on or "points3d")
-    return 2
+        return cmd_gen(config.seeds, config.output_dir, config.noise_on)
+    return cmd_run(config)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from .sim import (
     apply_circuit,
     apply_gate,
     cry,
-    cx,
     gate_counts,
     gate_matrix,
     h,
@@ -150,7 +149,6 @@ class HhlConfig:
 
     n_phase_qubits: int = 3
     slices: int = 50
-    order: int = 2
     lambda_bound: float | None = None
 
     def __post_init__(self):
@@ -276,28 +274,6 @@ def inversion_rotation_circuit(
     return Circuit(max((ancilla, *phase_qubits)) + 1, tuple(ops))
 
 
-def minimal_hhl_circuit() -> Circuit:
-    """The three-qubit textbook instance of the full pipeline.
-
-    Solves the bit-flip system on one data qubit: Hadamard encoding of the
-    right-hand side, a one-qubit phase estimation (H, controlled flip, H),
-    the eigenvalue inversion as an open-circle-controlled flip, and the
-    estimation run backwards.  Data on qubit 0, phase on 1, ancilla on 2.
-    """
-    data, phase, anc = 0, 1, 2
-    ops = (
-        h(data),
-        h(phase),
-        cx(phase, data),
-        h(phase),
-        cx(phase, anc, control_state=0),
-        h(phase),
-        cx(phase, data),
-        h(phase),
-    )
-    return Circuit(3, ops)
-
-
 def _nearest_unitary(matrix: np.ndarray) -> np.ndarray:
     """Polar projection; the exact operator is unitary, only roundoff is not."""
     u_, _, vt = np.linalg.svd(matrix)
@@ -386,7 +362,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     if bound <= 0.0:
         raise HhlError("spectral bound must be positive")
     time = -math.pi / bound
-    spec = EvolutionSpec(decompose_hermitian(problem.matrix), time, config.slices, config.order)
+    spec = EvolutionSpec(decompose_hermitian(problem.matrix), time, config.slices)
 
     # The ancilla stays |0> until the inversion, so the state preparation,
     # the Hadamards, the inverse transform and the readout run without it.
@@ -470,7 +446,7 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
     has_identity = any(set(lbl) == {"I"} for _, lbl in dec.terms)
     acting = HermitianDecomposition(dec.n_qubits, tuple(t for t in dec.terms if set(t[1]) != {"I"}))
     # the evolution time sets rotation angles only, never gate counts
-    one_slice = trotter_circuit(EvolutionSpec(acting, 1.0, 1, config.order), controlled_by=(k, 0))
+    one_slice = trotter_circuit(EvolutionSpec(acting, 1.0, 1), controlled_by=(k, 0))
     powers = 2 * sum(2**j for j in range(m))  # estimation plus uncompute
     parts = [  # (one-qubit, two-qubit, per-kind) tallies, each with its multiplicity
         (gate_counts(state_preparation_circuit(problem.rhs)), 1),

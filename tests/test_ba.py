@@ -617,15 +617,41 @@ def test_load_problem_rejects_repeated_record(tmp_path, prefix):
         load_problem(path)
 
 
-@pytest.mark.parametrize("tag, counted", [("obs_point", "point"), ("init_point", "point"), ("init_camera", "camera")])
+@pytest.mark.parametrize(
+    "tag, counted",
+    [("obs_point", "point"), ("init_point", "point"), ("init_camera", "camera"), ("obs", "point"), ("obs", "camera")],
+)
 def test_load_problem_rejects_record_beyond_the_count(tmp_path, tag, counted):
     path, lines = _saved_lines(tmp_path)
     count = sum(line.startswith(f"{counted} ") for line in lines)
-    extra = lines[next(i for i, line in enumerate(lines) if line.startswith(f"{tag} 0 "))].replace(" 0 ", f" {count} ", 1)
-    path.write_text("\n".join(lines + [extra]) + "\n")
+    fields = next(line for line in lines if line.startswith(f"{tag} 0 ")).split()
+    fields[2 if (tag, counted) == ("obs", "camera") else 1] = str(count)
+    name = " ".join(fields[1:3] if tag == "obs" else fields[1:2])
+    path.write_text("\n".join(lines + [" ".join(fields)]) + "\n")
     with pytest.raises(
-        ValueError, match=f"problem.txt:{len(lines) + 1}: {tag} record {count} is out of range for {count} {counted} records"
+        ValueError, match=f"problem.txt:{len(lines) + 1}: {tag} record {name} is out of range for {count} {counted} records"
     ):
         load_problem(path)
 
 
+@pytest.mark.parametrize("prefix", ["point 3 ", "camera 1 ", "obs 2 1 ", "init_point 0 "])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_problem_rejects_non_finite_number(tmp_path, prefix, bad):
+    path, lines = _saved_lines(tmp_path)
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith(prefix))
+    lines[number - 1] = lines[number - 1].rsplit(" ", 1)[0] + f" {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"problem.txt:{number}: non-finite number in {prefix.split()[0]} record"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("tag", ["camera", "init_camera"])
+def test_load_problem_names_line_of_non_unit_quaternion(tmp_path, tag):
+    path, lines = _saved_lines(tmp_path)
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{tag} 1 "))
+    fields = lines[number - 1].split()
+    fields[2] = "2.0"  # the quaternion's real part
+    lines[number - 1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"problem.txt:{number}: {tag} record 1: camera quaternion must be unit norm"):
+        load_problem(path)

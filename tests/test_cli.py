@@ -1,11 +1,14 @@
 import concurrent.futures
 import csv
+import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qlma.cli import RunConfig, main, run_batch, write_summary
+from qlma.cli import COMPARE_KEYS, RUN_KEYS, RunConfig, main, run_batch, write_summary
 
 
 def read_csv(path):
@@ -112,23 +115,6 @@ def test_compare_identical_configs_identical_columns(tmp_path):
     cols = [c for c in rows[0] if c.startswith("cost_")]
     for row in rows:
         assert row[cols[0]] == row[cols[1]]
-
-
-def test_compare_requires_shared_seeds(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        [
-            "compare",
-            "--seeds", "1",
-            "--seeds-b", "2",
-            "--backend", "classical",
-            "--backend-b", "classical",
-            "--out", str(out),
-        ]
-    )
-    assert code == 2
-    assert capsys.readouterr().err == "qlma: error: compare requires both configurations to share seeds\n"
-    assert not out.exists()
 
 
 def test_noise_command_reference_estimates(capsys):
@@ -439,3 +425,95 @@ def test_unusable_out_fails_with_one_line(tmp_path, capsys, command, out_kind):
     assert main([*command, "--out", out]) == 2
     assert capsys.readouterr().err == f"qlma: error: cannot create output directory {out!r}: {reason}\n"
     assert taken.read_text() == "not a directory\n"
+
+
+# One value per run setting, none of them the default: its text as a flag
+# value and in a config file, and the RunConfig fields it sets.
+_SETTING_VALUES = {
+    "seeds": ("4,5", {"seeds": (4, 5)}),
+    "setup": ("2", {"setup": 2}),
+    "backend": ("hhl", {"backend": "hhl"}),
+    "iters": ("7", {"max_iters": 7}),
+    "out": ("elsewhere", {"output_dir": "elsewhere"}),
+    "slices": ("9", {"trotter_slices": 9}),
+    "phase_qubits": ("4", {"phase_qubits": 4}),
+    "jobs": ("3", {"jobs": 3}),
+    "timing": ("1", {"timing": True}),
+    "noise_on": ("keypoints", {"noise_on": "keypoints"}),
+}
+
+
+def _configs_passed(monkeypatch, command, argv):
+    """The RunConfigs `qlma` hands to `command`, which is stubbed out."""
+    import qlma.cli as cli
+
+    passed = []
+    monkeypatch.setattr(cli, command, lambda *configs: passed.append(configs) or 0)
+    assert main(argv) == 0
+    return passed[0]
+
+
+def _flag_and_file_configs(tmp_path, monkeypatch, command, key):
+    text = _SETTING_VALUES[key.removesuffix("_b")][0]
+    flag = ["--timing"] if key == "timing" else [f"--{key.replace('_', '-')}", text]
+    cfg = tmp_path / "qlma.cfg"
+    cfg.write_text(f"{key}={text}\n")
+    subcommand = command.removeprefix("cmd_")
+    return (
+        _configs_passed(monkeypatch, command, [subcommand, *flag]),
+        _configs_passed(monkeypatch, command, [subcommand, "--config", str(cfg)]),
+    )
+
+
+@pytest.mark.parametrize("key", RUN_KEYS)
+def test_run_flag_and_config_file_value_agree(tmp_path, monkeypatch, key):
+    from_flag, from_file = _flag_and_file_configs(tmp_path, monkeypatch, "cmd_run", key)
+    assert from_flag == from_file == (RunConfig(**_SETTING_VALUES[key][1]),)
+
+
+@pytest.mark.parametrize("key", COMPARE_KEYS)
+def test_compare_flag_and_config_file_value_agree(tmp_path, monkeypatch, key):
+    """setup and backend set the first configuration and their _b keys the
+    second; every other key, the seeds included, sets both."""
+    from_flag, from_file = _flag_and_file_configs(tmp_path, monkeypatch, "cmd_compare", key)
+    changed = RunConfig(**_SETTING_VALUES[key.removesuffix("_b")][1])
+    expected = {
+        "setup": (changed, RunConfig()),
+        "backend": (changed, RunConfig()),
+        "setup_b": (RunConfig(), changed),
+        "backend_b": (RunConfig(), changed),
+    }.get(key, (changed, changed))
+    assert from_flag == from_file == expected
+
+
+# SHA-256 of each file, recorded with BLAS on one thread.
+_PINNED_OUTPUTS = [
+    (
+        ["compare", "--seeds", "1,2", "--backend", "hhl", "--backend-b", "classical", "--iters", "10"],
+        {
+            "compare_seed1.csv": "59c19576a6f61efaec672e519fff1d15091c22df0e025522e7f312ea7b66463d",
+            "compare_seed1.svg": "9d984f2555bdba338cf12dfe4bdb0fa592cb5f50ccb31e961dd45983e0bef7f2",
+            "compare_seed2.csv": "867ff8a4b6a3652f6ac0211a612892a336ca69c6a2f68b7d7b7cfafb2f2a6ae8",
+            "compare_seed2.svg": "461428e00aeb0735658b73713ab3ac5f0bcfbee4c8f53593ba71dc461bb8352a",
+        },
+    ),
+    (
+        ["gen", "--seeds", "1,2", "--noise-on", "keypoints"],
+        {
+            "problem_seed1.txt": "c3aeec909c11cfba4aff1e56b1c6e1d555003b0e15f27806b17d98d17dbad957",
+            "problem_seed2.txt": "59fb836eb8c46cb1a37ca50dcca66a4a19986e02af4f52f85ed880b68a95cce2",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digests", _PINNED_OUTPUTS, ids=["compare", "gen"])
+def test_compare_and_gen_outputs_match_pinned_digests(tmp_path, argv, digests):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    script = "import sys; from qlma.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests

@@ -15,12 +15,11 @@ from qlma.trotter import (
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
-    qpe_circuit,
     slice_matrix,
     trotter_circuit,
 )
 
-from reference import circuit_unitary, pauli_string_matrix, reconstruct
+from reference import circuit_unitary, pauli_string_matrix, qpe_circuit, reconstruct
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
