@@ -450,8 +450,9 @@ def test_gate_tally_structure():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("slices", [1, 2])
+@pytest.mark.parametrize("order", [2])  # the product-formula order hhl_solve uses
 @pytest.mark.parametrize("identity_term", [True, False])
-def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, identity_term):
+def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, identity_term):
     """The compositional tally equals the gate counts of the unrolled
     pipeline: preparation, phase estimation, inversion and its mirror."""
     rng = np.random.default_rng(dim * 100 + m)
@@ -463,7 +464,7 @@ def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, identity_te
     config = HhlConfig(n_phase_qubits=m, slices=slices)
     k = problem.n_data_qubits
     phase_qubits = list(range(k, k + m))
-    spec = EvolutionSpec(decompose_hermitian(problem.matrix), -math.pi / spectral_bound(problem.matrix), slices)
+    spec = EvolutionSpec(decompose_hermitian(problem.matrix), -math.pi / spectral_bound(problem.matrix), slices, order)
     forward = qpe_circuit(spec, phase_qubits)
     ops = (
         state_preparation_circuit(problem.rhs).ops
