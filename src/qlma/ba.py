@@ -189,29 +189,29 @@ def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray,
     """Stacked 2-vector residuals (predicted - observed) and their Jacobian.
 
     Each observation only touches 6 camera + 3 point parameters, so the
-    jets carry 9 partials which are scattered into the full Jacobian.  One
-    pass per camera: its 6 parameters are scalar jets and all the points it
-    observes enter as array jets.
+    jets carry 9 partials which are scattered into the full Jacobian.  Each
+    camera's rotation is composed in scalar jets (the small-angle branch is per
+    camera), then every observation is projected in one pass of array jets.
     """
     keys = scene.observation_keys()
     nc = scene.n_camera_params
-    r = np.zeros(2 * len(keys))
-    jac = np.zeros((2 * len(keys), scene.n_params))
-    points = theta[nc:].reshape(-1, 3)
+    pt, cam = np.array(keys, dtype=int).reshape(-1, 2).T
+    local = jets.variables([*theta[:nc].reshape(-1, 6)[cam].T, *theta[nc:].reshape(-1, 3)[pt].T])
+    eye = np.eye(9)  # the rotation increment seeded as local[0:3], once per camera
+    chain = []
     for j, base in enumerate(scene.cameras):
-        rows = np.array([row for row, (_, cam) in enumerate(keys) if cam == j], dtype=int)
-        idx = np.array([keys[row][0] for row in rows], dtype=int)
-        local = jets.variables([*theta[6 * j : 6 * j + 6], *points[idx].T])
-        w, pos, pt = local[0:3], local[3:6], local[6:9]
-        quat = quat_normalize(quat_mul(quat_from_rotvec(w), tuple(base.quaternion)))
-        uv = _project_generic(quat, pos, base.focal, tuple(base.principal_point), pt)
-        cam_cols = np.arange(6 * j, 6 * j + 6)
-        point_cols = nc + 3 * idx[:, None] + np.arange(3)
-        for comp, val in enumerate(uv):
-            res_rows = 2 * rows + comp
-            r[res_rows] = val.value - [scene.observations[keys[row]][comp] for row in rows]
-            jac[res_rows[:, None], cam_cols] = val.partials[:6].T
-            jac[res_rows[:, None], point_cols] = val.partials[6:].T
+        w = [jets.Jet(float(v), eye[k][:, None]) for k, v in enumerate(theta[6 * j : 6 * j + 3])]
+        chain.append(quat_normalize(quat_mul(quat_from_rotvec(w), base.quaternion.tolist())))
+    quat = [  # each camera's quaternion jet, gathered to its observations
+        jets.Jet(np.array([q.value for q in qc])[cam], np.hstack([q.partials for q in qc])[:, cam]) for qc in zip(*chain)
+    ]
+    intrinsics = np.array([[c.focal, *c.principal_point] for c in scene.cameras]).reshape(-1, 3)[cam].T
+    uv = _project_generic(quat, local[3:6], intrinsics[0], intrinsics[1:], local[6:9])
+    observed = np.array([scene.observations[k] for k in keys]).reshape(-1, 2)
+    r = (np.stack([u.value for u in uv], axis=1) - observed).ravel()
+    cols = np.hstack([6 * cam[:, None] + np.arange(6), nc + 3 * pt[:, None] + np.arange(3)]).repeat(2, axis=0)
+    jac = np.zeros((r.size, scene.n_params))
+    jac[np.arange(r.size)[:, None], cols] = np.stack([u.partials.T for u in uv], axis=1).reshape(-1, 9)
     return r, jac
 
 
@@ -482,8 +482,10 @@ def load_problem(path) -> BaProblem:
                     value = Camera(value[0:4], value[4:7], float(value[7]), value[8:10])
                 except ValueError as exc:  # a quaternion that is not of unit norm
                     raise ValueError(f"{where}: {tag} record {index}: {exc}") from None
+            name = " ".join(parts[: 1 if index is None else 3 if tag == "obs" else 2])
+            if index is not None and np.min(index) < 0:
+                raise ValueError(f"{where}: negative index in {name} record")
             if (tag, index) in first_line:
-                name = " ".join(parts[: 1 if index is None else 3 if tag == "obs" else 2])
                 raise ValueError(f"{where}: repeated {name} record, first on line {first_line[tag, index]}")
             first_line[tag, index] = number
             if tag == "seed":
@@ -498,7 +500,7 @@ def load_problem(path) -> BaProblem:
             indices = index if tag == "obs" else (index,)
             for value, counted in zip(indices, counted_by):
                 count = len(records[counted])
-                if not 0 <= value < count:
+                if value >= count:  # negative indices are rejected as each record is read
                     name = " ".join(map(str, indices))
                     raise ValueError(
                         f"{path}:{first_line[tag, index]}: {tag} record {name} is out of range for {count} {counted} records"

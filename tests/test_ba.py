@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import operator
 import os
 import re
 import tempfile
@@ -101,6 +103,55 @@ def test_array_jet_zero_divisor_raises():
         a / x
     with pytest.raises(ZeroDivisionError):
         jets.sqrt(x)
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# signed zeros, negatives and large magnitudes; bounded so no operation overflows or divides by a subnormal
+finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30))
+
+
+def _outcome(op, left, right):
+    try:
+        out = OPERATORS[op](left, right)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    value = np.asarray(out.value)
+    return value.shape, value.tobytes(), out.partials.shape, out.partials.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    op=st.sampled_from(sorted(OPERATORS)),
+    jet_first=st.booleans(),
+    array_jet=st.booleans(),
+    array_constant=st.booleans(),
+)
+def test_constant_operand_bytes_match_explicit_zero_partials_jet(data, op, jet_first, array_jet, array_constant):
+    def draw(size):
+        return np.array(data.draw(st.lists(finite, min_size=size, max_size=size))) if size else data.draw(finite)
+
+    jet = jets.Jet(draw(3), draw(6).reshape(2, 3)) if array_jet else jets.Jet(draw(0), draw(2).reshape(2, 1))
+    const = draw(3 if array_constant else 0)
+    explicit = jets.Jet(const, np.zeros(np.broadcast_shapes(jet.partials.shape, np.shape(const))))
+    pair, reference = ((jet, const), (jet, explicit)) if jet_first else ((const, jet), (explicit, jet))
+    assert _outcome(op, *pair) == _outcome(op, *reference)
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@pytest.mark.parametrize("jet_first", [True, False], ids=["jet-first", "array-first"])
+def test_array_constant_gives_elementwise_jet(op, jet_first):
+    const = np.array([1.0, -2.0, 0.5])
+
+    def apply(c, x):
+        return OPERATORS[op](x, c) if jet_first else OPERATORS[op](c, x)
+
+    out = apply(const, jets.variables([3.0, 0.25])[0])
+    assert isinstance(out, jets.Jet) and out.value.shape == (3,) and out.partials.shape == (2, 3)
+    for k, c in enumerate(const):
+        scalar = apply(float(c), jets.variables([3.0, 0.25])[0])
+        assert out.value[k] == scalar.value
+        assert np.array_equal(out.partials[:, k], scalar.partials[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +317,23 @@ def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotat
         return
     r, jac = residuals_and_jacobian(scene, theta)
     assert np.array_equal(r, expected[0]) and np.array_equal(jac, expected[1])
+
+
+def test_jacobian_bytes_match_pinned_digests():
+    # r and J bytes are pinned: any change in the jet arithmetic or the scatter order shows here
+    digest = hashlib.sha256()
+    for seed in range(1, 10):
+        scene = generate_problem(seed).initial
+        for array in residuals_and_jacobian(scene, scene.initial_params()):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == "a99a8ffe29844c57c63f3f894ba7097faca6e5ef9da59b4141c9084453839665"
+    scene = generate_problem(2).initial
+    theta = scene.initial_params()
+    theta[[0, 1, 2]] += [0.01, -0.02, 0.03]  # camera 0 on the exact branch, camera 1 on the series branch
+    r, jac = residuals_and_jacobian(scene, theta)
+    assert hashlib.sha256(r.tobytes() + jac.tobytes()).hexdigest() == (
+        "de1fd85bf48cc4b7600ddea1c7698556704ae683adee40f9d602c5787370cff6"
+    )
 
 
 def test_residuals_zero_at_ground_truth_without_noise():
@@ -631,6 +699,15 @@ def test_load_problem_rejects_record_beyond_the_count(tmp_path, tag, counted):
     with pytest.raises(
         ValueError, match=f"problem.txt:{len(lines) + 1}: {tag} record {name} is out of range for {count} {counted} records"
     ):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("tag", ["point", "camera"])
+def test_load_problem_rejects_negative_index(tmp_path, tag):
+    path, lines = _saved_lines(tmp_path)
+    fields = next(line for line in lines if line.startswith(f"{tag} 0 ")).split()
+    path.write_text("\n".join(lines + [" ".join([tag, "-1", *fields[2:]])]) + "\n")
+    with pytest.raises(ValueError, match=f"problem.txt:{len(lines) + 1}: negative index in {tag} -1 record"):
         load_problem(path)
 
 
