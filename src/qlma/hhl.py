@@ -413,7 +413,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
 
     block = selected[: 2**k]
     block_norm = float(np.linalg.norm(block))
-    fidelity = block_norm / math.sqrt(success) if success > 0 else 0.0
+    fidelity = block_norm / math.sqrt(success)
 
     # Smallest phase rotation making the dominant entry real; keeps the sign
     # of legitimately negative solutions intact.

@@ -142,8 +142,6 @@ def lma_step(
             bound = _hhl_lambda_bound(problem.matrix, cfg.n_phase_qubits)
             cfg = dataclasses.replace(cfg, lambda_bound=bound)
         delta_cam = hhl_solve(problem, cfg).solution
-    if len(ne.point_blocks) == 0:
-        return delta_cam
     return np.concatenate([delta_cam, back_substitute(ne, delta_cam)])
 
 

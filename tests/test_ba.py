@@ -219,6 +219,27 @@ def test_project_behind_camera_raises():
         project(identity_camera(), np.array([0.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("seed", [1, 29, 100])
+def test_project_of_point_array_equals_stacked_single_points(seed):
+    prob = generate_problem(seed, n_points=25)
+    for cam in prob.truth.cameras + prob.initial.cameras:
+        for points in (prob.observation_points, prob.truth.points):
+            uv = project(cam, points)
+            assert uv.shape == (25, 2)
+            assert uv.tobytes() == np.stack([project(cam, p) for p in points]).tobytes()
+    assert project(identity_camera(), np.zeros((0, 3))).shape == (0, 2)
+
+
+def test_point_behind_the_camera_inside_an_array_raises():
+    cam = identity_camera()
+    points = np.array([[0.0, 0.0, 2.0], [1.0, -1.0, -0.5], [1.0, 1.0, 3.0]])  # the middle one is behind
+    with pytest.raises(ProjectionError):
+        project(cam, points)
+    scene = Scene(points, [cam], {(i, 0): np.zeros(2) for i in range(3)})
+    with pytest.raises(ProjectionError):
+        total_cost(scene)
+
+
 def test_ground_truth_reprojects_exactly():
     prob = generate_problem(3)
     for (i, j), uv in prob.truth.observations.items():
@@ -236,6 +257,46 @@ def test_total_cost_three_four_five():
     pt = np.array([0.0, 0.0, 2.0])
     scene = Scene(pt[None, :], [cam], {(0, 0): project(cam, pt) + np.array([3.0, 4.0])})
     assert total_cost(scene) == pytest.approx(5.0)
+
+
+def per_observation_cost_reference(scene):
+    """The cost one observation at a time, in dict order from 0.0, squaring by multiplication."""
+    cost = 0.0
+    for (i, j), uv in scene.observations.items():
+        cam = scene.cameras[j]
+        du, dv = _project_generic(cam.quaternion, cam.position, cam.focal, cam.principal_point, scene.points[i])
+        cost += math.sqrt((uv[0] - du) * (uv[0] - du) + (uv[1] - dv) * (uv[1] - dv))
+    return cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 400),
+    noise_on=st.sampled_from(["points3d", "keypoints"]),
+    shift=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+)
+def test_total_cost_bit_identical_to_per_observation_reference(seed, noise_on, shift):
+    prob = generate_problem(seed, noise_on=noise_on)
+    moved = Scene(prob.initial.points + np.array(shift), prob.initial.cameras, prob.initial.observations)
+    for scene in (prob.truth, prob.initial, moved):
+        try:
+            expected = per_observation_cost_reference(scene)
+        except ProjectionError:
+            with pytest.raises(ProjectionError):
+                total_cost(scene)
+            continue
+        assert np.float64(total_cost(scene)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_total_cost_bytes_match_pinned_digests():
+    # the cost of every scene is pinned: any change in the projection, the distance or the summation order shows here
+    digest = hashlib.sha256()
+    for noise_on in ("points3d", "keypoints"):
+        for seed in range(1, 10):
+            prob = generate_problem(seed, noise_on=noise_on)
+            for scene in (prob.truth, prob.initial):
+                digest.update(np.float64(total_cost(scene)).tobytes())
+    assert digest.hexdigest() == "691cf4159f9c253112478ca27608e157f68290bfa71e40c43b5b90224b76aceb"
 
 
 def test_total_cost_nonnegative():
@@ -606,6 +667,13 @@ def test_load_problem_names_missing_record(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not line.startswith("init_camera")))
     with pytest.raises(ValueError, match="missing init_camera record 0"):
+        load_problem(path)
+
+
+def test_load_problem_without_point_records_names_the_file(tmp_path):
+    path = tmp_path / "problem.txt"
+    path.write_text("# qlma problem v1\nseed 4\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no point records$"):
         load_problem(path)
 
 
