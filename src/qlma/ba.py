@@ -14,7 +14,6 @@ the camera block stays at 6 parameters per camera.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +59,11 @@ def quat_normalize(q):
     qw, qx, qy, qz = q
     inv = 1.0 / jets.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     return (qw * inv, qx * inv, qy * inv, qz * inv)
+
+
+def rotate_by(w, q):
+    """The rotation q followed by the axis-angle rotation w, R(w) * R(q), as a renormalized quaternion."""
+    return quat_normalize(quat_mul(quat_from_rotvec(w), q))
 
 
 def quat_rotate(q, v):
@@ -137,17 +141,23 @@ class Camera:
 
 @dataclass
 class Scene:
-    """Points, cameras, and the observed keypoints (i = point, j = camera)."""
+    """Points, cameras, and the observations: point pairs[k, 0] seen by camera pairs[k, 1] at keypoints[k]."""
 
     points: np.ndarray
     cameras: list[Camera]
-    observations: dict[tuple[int, int], np.ndarray]
+    pairs: np.ndarray  # (B, 2) int
+    keypoints: np.ndarray  # (B, 2)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        for (i, j) in self.observations:
-            if not (0 <= i < len(self.points) and 0 <= j < len(self.cameras)):
-                raise ValueError(f"observation ({i}, {j}) references a missing point or camera")
+        self.pairs = np.asarray(self.pairs, dtype=int).reshape(-1, 2)
+        self.keypoints = np.asarray(self.keypoints, dtype=float).reshape(-1, 2)
+        if len(self.pairs) != len(self.keypoints):
+            raise ValueError(f"{len(self.pairs)} observation pairs but {len(self.keypoints)} keypoints")
+        bad = (self.pairs < 0) | (self.pairs >= (len(self.points), len(self.cameras)))
+        if bad.any():
+            i, j = self.pairs[bad.any(axis=1)][0]
+            raise ValueError(f"observation ({i}, {j}) references a missing point or camera")
 
     @property
     def n_camera_params(self) -> int:
@@ -157,15 +167,22 @@ class Scene:
     def n_params(self) -> int:
         return self.n_camera_params + 3 * len(self.points)
 
-    def observation_keys(self) -> list[tuple[int, int]]:
-        return sorted(self.observations.keys())
-
     def initial_params(self) -> np.ndarray:
         theta = np.zeros(self.n_params)
         for j, cam in enumerate(self.cameras):
             theta[6 * j + 3 : 6 * j + 6] = cam.position
         theta[self.n_camera_params :] = self.points.ravel()
         return theta
+
+    def moved(self, increment: np.ndarray) -> Scene:
+        """The scene after a step laid out as theta: rotation increments compose onto the quaternions."""
+        cams = []
+        for j, cam in enumerate(self.cameras):
+            quat = np.array(rotate_by(tuple(increment[6 * j : 6 * j + 3]), tuple(cam.quaternion)))
+            pos = cam.position + increment[6 * j + 3 : 6 * j + 6]
+            cams.append(Camera(quat, pos, cam.focal, cam.principal_point.copy()))
+        points = self.points + increment[self.n_camera_params :].reshape(-1, 3)
+        return Scene(points, cams, self.pairs, self.keypoints)
 
 
 def _project_generic(quaternion, position, focal, principal_point, point):
@@ -183,21 +200,17 @@ def project(camera: Camera, point) -> np.ndarray:
     return np.stack(uv, axis=-1)
 
 
-def _gather(scene: Scene, keys: list[tuple[int, int]]):
-    """Per observation in `keys`: point and camera index, camera fields (`Camera.fields_of`, B columns
-    each) and keypoint (B, 2).  np.fromiter reads the list of index tuples ~3x faster than np.array."""
-    pt, cam = np.fromiter(itertools.chain.from_iterable(keys), int, 2 * len(keys)).reshape(-1, 2).T
-    cameras = np.array([c.vector for c in scene.cameras]).reshape(-1, 10)[cam].T
-    observed = np.array([scene.observations[k] for k in keys]).reshape(-1, 2)
-    return pt, cam, Camera.fields_of(cameras), observed
+def _observing_cameras(scene: Scene):
+    """Each observation's camera fields (`Camera.fields_of`, one column per observation)."""
+    cameras = np.array([c.vector for c in scene.cameras]).reshape(-1, 10)
+    return Camera.fields_of(cameras[scene.pairs[:, 1]].T)
 
 
 def total_cost(scene: Scene) -> float:
     """Sum over observations of the Euclidean reprojection distance."""
-    pt, _, camera, observed = _gather(scene, list(scene.observations))
-    u, v = _project_generic(*camera, scene.points[pt].T)
-    dist = np.sqrt((observed[:, 0] - u) ** 2 + (observed[:, 1] - v) ** 2)
-    return sum(dist.tolist(), 0.0)  # one by one in dict order from 0.0; np.sum rounds differently
+    u, v = _project_generic(*_observing_cameras(scene), scene.points[scene.pairs[:, 0]].T)
+    dist = np.sqrt((scene.keypoints[:, 0] - u) ** 2 + (scene.keypoints[:, 1] - v) ** 2)
+    return sum(dist.tolist(), 0.0)  # one by one in observation order from 0.0; np.sum rounds differently
 
 
 def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,18 +222,19 @@ def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray,
     camera), then every observation is projected in one pass of array jets.
     """
     nc = scene.n_camera_params
-    pt, cam, (_, _, focal, principal_point), observed = _gather(scene, scene.observation_keys())
+    pt, cam = scene.pairs.T
+    _, _, focal, principal_point = _observing_cameras(scene)
     local = jets.variables([*theta[:nc].reshape(-1, 6)[cam].T, *theta[nc:].reshape(-1, 3)[pt].T])
     eye = np.eye(9)  # the rotation increment seeded as local[0:3], once per camera
     chain = []
     for j, base in enumerate(scene.cameras):
         w = [jets.Jet(float(v), eye[k][:, None]) for k, v in enumerate(theta[6 * j : 6 * j + 3])]
-        chain.append(quat_normalize(quat_mul(quat_from_rotvec(w), base.quaternion.tolist())))
+        chain.append(rotate_by(w, base.quaternion.tolist()))
     quat = [  # each camera's quaternion jet, gathered to its observations
         jets.Jet(np.array([q.value for q in qc])[cam], np.hstack([q.partials for q in qc])[:, cam]) for qc in zip(*chain)
     ]
     uv = _project_generic(quat, local[3:6], focal, principal_point, local[6:9])
-    r = (np.stack([u.value for u in uv], axis=1) - observed).ravel()
+    r = (np.stack([u.value for u in uv], axis=1) - scene.keypoints).ravel()
     cols = np.hstack([6 * cam[:, None] + np.arange(6), nc + 3 * pt[:, None] + np.arange(3)]).repeat(2, axis=0)
     jac = np.zeros((r.size, scene.n_params))
     jac[np.arange(r.size)[:, None], cols] = np.stack([u.partials.T for u in uv], axis=1).reshape(-1, 9)
@@ -324,8 +338,8 @@ class BaProblem:
     """A generated reconstruction problem.
 
     `truth` holds the exact scene; `initial` shares the points but carries
-    the noisy camera guesses the optimization starts from.  Both reference
-    the same observation map.  `observation_points` are the jittered 3D
+    the noisy camera guesses the optimization starts from.  Both share the
+    same observation arrays.  `observation_points` are the jittered 3D
     positions the keypoints were projected from.
     """
 
@@ -397,7 +411,8 @@ def generate_problem(
     keypoints = [project(cam, obs_points) for cam in true_cams]
     if noise_on == "keypoints":
         keypoints = [uv + jitter[:, :2] for uv in keypoints]
-    observations = {(i, j): uv[i] for i in range(n_points) for j, uv in enumerate(keypoints)}
+    pairs = [(i, j) for i in range(n_points) for j in range(len(true_cams))]
+    keypoints = np.stack(keypoints, axis=1)  # (point, camera, uv): the order of pairs
 
     noisy_cams = []
     for cam in true_cams:
@@ -405,16 +420,15 @@ def generate_problem(
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             dangle = rng.uniform(-camera_rotation_noise, camera_rotation_noise) * quat_angle(cam.quaternion)
-            dq = quat_from_rotvec(tuple(axis * dangle))
-            quat = np.array(quat_normalize(quat_mul(dq, tuple(cam.quaternion))))
+            quat = np.array(rotate_by(tuple(axis * dangle), tuple(cam.quaternion)))
             pos = cam.position * (1.0 + rng.uniform(-camera_position_noise, camera_position_noise, size=3))
             candidate = Camera(quat, pos, cam.focal, cam.principal_point.copy())
             if _in_front([candidate], points):
                 noisy_cams.append(candidate)
                 break
 
-    truth = Scene(points, true_cams, observations)
-    initial = Scene(points.copy(), noisy_cams, observations)
+    truth = Scene(points, true_cams, pairs, keypoints)
+    initial = Scene(points.copy(), noisy_cams, truth.pairs, truth.keypoints)
     return BaProblem(truth, initial, obs_points, seed)
 
 
@@ -436,7 +450,7 @@ def save_problem(problem: BaProblem, path) -> None:
         lines.append(f"point {i} {' '.join(_fmt(v) for v in p)}")
     for j, c in enumerate(problem.truth.cameras):
         lines.append(f"camera {j} {' '.join(_fmt(v) for v in c.vector)}")
-    for (i, j), uv in sorted(problem.truth.observations.items()):
+    for (i, j), uv in zip(problem.truth.pairs.tolist(), problem.truth.keypoints):
         lines.append(f"obs {i} {j} {_fmt(uv[0])} {_fmt(uv[1])}")
     for i, p in enumerate(problem.observation_points):
         lines.append(f"obs_point {i} {' '.join(_fmt(v) for v in p)}")
@@ -519,6 +533,8 @@ def load_problem(path) -> BaProblem:
     n_pts, n_cams = len(records["point"]), len(records["camera"])
     if n_pts == 0:
         raise ValueError(f"{path}: no point records")
-    truth = Scene(np.vstack(rows("point", n_pts)), rows("camera", n_cams), records["obs"])
-    initial = Scene(np.vstack(rows("init_point", n_pts)), rows("init_camera", n_cams), records["obs"])
+    pairs = sorted(records["obs"])  # the (point, camera) order generated problems have, whatever the file's order
+    keypoints = [records["obs"][k] for k in pairs]
+    truth = Scene(np.vstack(rows("point", n_pts)), rows("camera", n_cams), pairs, keypoints)
+    initial = Scene(np.vstack(rows("init_point", n_pts)), rows("init_camera", n_cams), truth.pairs, truth.keypoints)
     return BaProblem(truth, initial, np.vstack(rows("obs_point", n_pts)), seed)

@@ -18,14 +18,9 @@ import numpy as np
 
 from .ba import (
     BaProblem,
-    Camera,
     ProjectionError,
-    Scene,
     back_substitute,
     build_normal_equations,
-    quat_from_rotvec,
-    quat_mul,
-    quat_normalize,
     residuals_and_jacobian,
     schur_reduce,
     total_cost,
@@ -136,25 +131,13 @@ def lma_step(
     if backend.kind == "classical-schur":
         delta_cam = np.linalg.solve(s, -rhs)
     else:
-        problem = embed_problem(s, -rhs, force_dilation=True)
+        problem = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)  # S carries roundoff asymmetry
         cfg = backend.hhl
         if cfg.lambda_bound is None:
             bound = _hhl_lambda_bound(problem.matrix, cfg.n_phase_qubits)
             cfg = dataclasses.replace(cfg, lambda_bound=bound)
         delta_cam = hhl_solve(problem, cfg).solution
     return np.concatenate([delta_cam, back_substitute(ne, delta_cam)])
-
-
-def _apply_increment(scene: Scene, increment: np.ndarray) -> Scene:
-    cams = []
-    for j, cam in enumerate(scene.cameras):
-        w = tuple(increment[6 * j : 6 * j + 3])
-        quat = np.array(quat_normalize(quat_mul(quat_from_rotvec(w), tuple(cam.quaternion))))
-        pos = cam.position + increment[6 * j + 3 : 6 * j + 6]
-        cams.append(Camera(quat, pos, cam.focal, cam.principal_point.copy()))
-    nc = scene.n_camera_params
-    points = scene.points + increment[nc:].reshape(-1, 3)
-    return Scene(points, cams, scene.observations)
 
 
 def optimize(
@@ -197,14 +180,14 @@ def optimize(
         try:
             raw_step = lma_step(r, jac, lam1, damping.lambda2, backend, m_c=scene.n_camera_params)
             step = (1.0 - mix) * raw_step + mix * prev_step
-            candidate = _apply_increment(scene, step)
+            candidate = scene.moved(step)
             cand_cost = total_cost(candidate)
         except (SimulationError, ProjectionError, np.linalg.LinAlgError):
             cand_cost = math.inf
             step = np.zeros(scene.n_params)
             candidate = scene
         accepted = math.isfinite(cand_cost)
-        dcost_sq = cand_cost**2 - cost**2 if accepted else math.inf
+        dcost_sq = cand_cost * cand_cost - cost * cost if accepted else math.inf
         lam1 = update_damping(lam1, omega, dcost_sq, damping)
         if accepted:
             scene = candidate

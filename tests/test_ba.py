@@ -235,14 +235,14 @@ def test_point_behind_the_camera_inside_an_array_raises():
     points = np.array([[0.0, 0.0, 2.0], [1.0, -1.0, -0.5], [1.0, 1.0, 3.0]])  # the middle one is behind
     with pytest.raises(ProjectionError):
         project(cam, points)
-    scene = Scene(points, [cam], {(i, 0): np.zeros(2) for i in range(3)})
+    scene = Scene(points, [cam], [(i, 0) for i in range(3)], np.zeros((3, 2)))
     with pytest.raises(ProjectionError):
         total_cost(scene)
 
 
 def test_ground_truth_reprojects_exactly():
     prob = generate_problem(3)
-    for (i, j), uv in prob.truth.observations.items():
+    for (i, j), uv in zip(prob.truth.pairs, prob.truth.keypoints):
         got = project(prob.truth.cameras[j], prob.observation_points[i])
         assert np.array_equal(got, uv)
 
@@ -252,17 +252,34 @@ def test_total_cost_zero_at_ground_truth_without_noise():
     assert total_cost(prob.initial) == 0.0
 
 
+@pytest.mark.parametrize(
+    "pairs, keypoints, message",
+    [
+        ([(0, 0), (-1, 0)], np.zeros((2, 2)), r"^observation \(-1, 0\) references a missing point or camera$"),
+        ([(0, 0), (0, -1)], np.zeros((2, 2)), r"^observation \(0, -1\) references a missing point or camera$"),
+        ([(0, 0), (2, 0)], np.zeros((2, 2)), r"^observation \(2, 0\) references a missing point or camera$"),
+        ([(1, 0), (0, 1)], np.zeros((2, 2)), r"^observation \(0, 1\) references a missing point or camera$"),
+        ([(0, 0), (1, 0)], np.zeros((1, 2)), r"^2 observation pairs but 1 keypoints$"),
+    ],
+    ids=["negative-point", "negative-camera", "point-out-of-range", "camera-out-of-range", "keypoint-count"],
+)
+def test_scene_rejects_observations_it_cannot_hold(pairs, keypoints, message):
+    points = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 3.0]])
+    with pytest.raises(ValueError, match=message):
+        Scene(points, [identity_camera()], pairs, keypoints)
+
+
 def test_total_cost_three_four_five():
     cam = identity_camera()
     pt = np.array([0.0, 0.0, 2.0])
-    scene = Scene(pt[None, :], [cam], {(0, 0): project(cam, pt) + np.array([3.0, 4.0])})
+    scene = Scene(pt[None, :], [cam], [(0, 0)], [project(cam, pt) + np.array([3.0, 4.0])])
     assert total_cost(scene) == pytest.approx(5.0)
 
 
 def per_observation_cost_reference(scene):
-    """The cost one observation at a time, in dict order from 0.0, squaring by multiplication."""
+    """The cost one observation at a time, in observation order from 0.0, squaring by multiplication."""
     cost = 0.0
-    for (i, j), uv in scene.observations.items():
+    for (i, j), uv in zip(scene.pairs, scene.keypoints):
         cam = scene.cameras[j]
         du, dv = _project_generic(cam.quaternion, cam.position, cam.focal, cam.principal_point, scene.points[i])
         cost += math.sqrt((uv[0] - du) * (uv[0] - du) + (uv[1] - dv) * (uv[1] - dv))
@@ -277,7 +294,7 @@ def per_observation_cost_reference(scene):
 )
 def test_total_cost_bit_identical_to_per_observation_reference(seed, noise_on, shift):
     prob = generate_problem(seed, noise_on=noise_on)
-    moved = Scene(prob.initial.points + np.array(shift), prob.initial.cameras, prob.initial.observations)
+    moved = Scene(prob.initial.points + np.array(shift), prob.initial.cameras, prob.initial.pairs, prob.initial.keypoints)
     for scene in (prob.truth, prob.initial, moved):
         try:
             expected = per_observation_cost_reference(scene)
@@ -342,7 +359,7 @@ def test_jacobian_away_from_zero_increment():
 
 def per_observation_reference(scene, theta):
     """Residuals and Jacobian with one scalar-jet pass per observation."""
-    keys = scene.observation_keys()
+    keys = scene.pairs.tolist()
     nc = scene.n_camera_params
     r = np.zeros(2 * len(keys))
     jac = np.zeros((2 * len(keys), scene.n_params))
@@ -353,7 +370,7 @@ def per_observation_reference(scene, theta):
         quat = quat_normalize(quat_mul(quat_from_rotvec(local[0:3]), tuple(base.quaternion)))
         uv = _project_generic(quat, local[3:6], base.focal, tuple(base.principal_point), local[6:9])
         for comp, val in enumerate(uv):
-            res = val - scene.observations[(i, j)][comp]
+            res = val - scene.keypoints[row][comp]
             r[2 * row + comp] = res.value
             jac[2 * row + comp, cols] = res.partials[:, 0]
     return r, jac
@@ -474,7 +491,7 @@ def test_schur_system_is_twelve_by_twelve():
 
 
 def test_large_damping_step_is_descent_direction():
-    from qlma.optimizer import LinearBackend, _apply_increment, lma_step
+    from qlma.optimizer import LinearBackend, lma_step
 
     for seed in (1, 2, 3):
         prob = generate_problem(seed)
@@ -482,7 +499,7 @@ def test_large_damping_step_is_descent_direction():
         cost = total_cost(scene)
         r, jac = residuals_and_jacobian(scene, scene.initial_params())
         step = lma_step(r, jac, 1e6, 1e-9, LinearBackend("classical-dense"), m_c=12)
-        assert total_cost(_apply_increment(scene, step)) < cost
+        assert total_cost(scene.moved(step)) < cost
 
 
 def test_point_blocks_are_block_diagonal():
@@ -608,15 +625,15 @@ def test_generation_deterministic():
     a, b = generate_problem(6), generate_problem(6)
     assert np.array_equal(a.truth.points, b.truth.points)
     assert np.array_equal(a.initial.cameras[0].quaternion, b.initial.cameras[0].quaternion)
-    for key in a.truth.observations:
-        assert np.array_equal(a.truth.observations[key], b.truth.observations[key])
+    assert np.array_equal(a.truth.pairs, b.truth.pairs)
+    assert np.array_equal(a.truth.keypoints, b.truth.keypoints)
 
 
 @pytest.mark.parametrize("seed", [29, 100])
 def test_generation_redraws_jitter_that_puts_a_point_behind_a_camera(seed):
     prob = generate_problem(seed)
     assert np.all(np.abs(prob.observation_points - prob.truth.points) <= 0.5)
-    for (i, j), uv in prob.truth.observations.items():
+    for (i, j), uv in zip(prob.truth.pairs, prob.truth.keypoints):
         assert np.array_equal(project(prob.truth.cameras[j], prob.observation_points[i]), uv)
 
 
@@ -633,7 +650,7 @@ def test_point_coordinates_within_noise_bounds():
 
 def test_observation_indices_complete():
     prob = generate_problem(7)
-    assert set(prob.truth.observations) == {(i, j) for i in range(10) for j in range(2)}
+    assert set(map(tuple, prob.truth.pairs.tolist())) == {(i, j) for i in range(10) for j in range(2)}
 
 
 def test_camera_quaternions_unit_norm():
@@ -677,6 +694,19 @@ def test_load_problem_without_point_records_names_the_file(tmp_path):
         load_problem(path)
 
 
+def test_obs_records_in_any_order_load_to_the_same_observations(tmp_path):
+    saved, backwards = tmp_path / "saved.txt", tmp_path / "backwards.txt"
+    save_problem(generate_problem(4), saved)
+    lines = saved.read_text().splitlines(keepends=True)
+    obs = [line for line in lines if line.startswith("obs ")]
+    backwards.write_text("".join(line for line in lines if not line.startswith("obs ")) + "".join(reversed(obs)))
+    a, b = load_problem(saved), load_problem(backwards)
+    for scene_a, scene_b in ((a.truth, b.truth), (a.initial, b.initial)):
+        assert scene_a.pairs.tobytes() == scene_b.pairs.tobytes()
+        assert scene_a.keypoints.tobytes() == scene_b.keypoints.tobytes()
+        assert np.float64(total_cost(scene_a)).tobytes() == np.float64(total_cost(scene_b)).tobytes()
+
+
 def test_problem_round_trip(tmp_path):
     prob = generate_problem(5)
     path = tmp_path / "problem.txt"
@@ -688,8 +718,8 @@ def test_problem_round_trip(tmp_path):
     for j in range(2):
         assert np.array_equal(loaded.truth.cameras[j].quaternion, prob.truth.cameras[j].quaternion)
         assert np.array_equal(loaded.initial.cameras[j].position, prob.initial.cameras[j].position)
-    for key, uv in prob.truth.observations.items():
-        assert np.array_equal(loaded.truth.observations[key], uv)
+    assert np.array_equal(loaded.truth.pairs, prob.truth.pairs)
+    assert np.array_equal(loaded.truth.keypoints, prob.truth.keypoints)
     assert total_cost(loaded.initial) == total_cost(prob.initial)
 
 
@@ -706,7 +736,7 @@ def _problem_fields(problem):
         for j, cam in enumerate(scene.cameras):
             for f in dataclasses.fields(cam):
                 out.append(field(f"{name}.cameras[{j}].{f.name}", getattr(cam, f.name)))
-        out.extend(field(f"{name}.observations[{key}]", uv) for key, uv in sorted(scene.observations.items()))
+        out += [field(f"{name}.pairs", scene.pairs), field(f"{name}.keypoints", scene.keypoints)]
     return out
 
 

@@ -504,10 +504,19 @@ _PINNED_OUTPUTS = [
             "problem_seed2.txt": "59fb836eb8c46cb1a37ca50dcca66a4a19986e02af4f52f85ed880b68a95cce2",
         },
     ),
+    (  # at setup 2's small damping the Schur complement is asymmetric by roundoff, which the hhl step must absorb
+        ["run", "--setup", "2", "--backend", "hhl", "--seeds", "2,5"],
+        {
+            "summary.csv": "d446e35a7edc039ec20dfd66019e6ac9500e84074697ebb66594a3611bddd664",
+            "summary.svg": "89a468f21b144a84f566c39c40eb2e7d586a12852b94aabeb91fa91ea3089827",
+            "trace_seed2.csv": "e0d32b97a450cc9c0a621afd0d06080c5a698cdce04ca480d1df63fe17edac26",
+            "trace_seed5.csv": "10d8ccd36f1799a82b625fb7d98dec1c3c0f825ed91b8e78a29730732739829a",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digests", _PINNED_OUTPUTS, ids=["compare", "gen"])
+@pytest.mark.parametrize("argv, digests", _PINNED_OUTPUTS, ids=["compare", "gen", "run-setup2-hhl"])
 def test_compare_and_gen_outputs_match_pinned_digests(tmp_path, argv, digests):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     script = "import sys; from qlma.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -120,6 +120,7 @@ def test_hhl_step_matches_classical_on_well_conditioned_system():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="three phase qubits quantize eigenvalues to half-bin accuracy of "
     "at best 1/6 relative at the top bin, so the solver-grade step cannot "
     "track the classical step to 10% along realistic trajectories",
@@ -250,12 +251,10 @@ def test_quaternions_stay_normalized_through_updates():
     trace = optimize(prob, damping, backend, 10)
     assert len(trace.records) >= 1
     # run manually to inspect the final scene state
-    from qlma.optimizer import _apply_increment
-
     scene = prob.initial
     rng = np.random.default_rng(0)
     for _ in range(5):
-        scene = _apply_increment(scene, rng.normal(scale=0.01, size=scene.n_params))
+        scene = scene.moved(rng.normal(scale=0.01, size=scene.n_params))
         for cam in scene.cameras:
             assert abs(np.linalg.norm(cam.quaternion) - 1.0) < 1e-12
 
