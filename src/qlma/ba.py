@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,16 +43,14 @@ def quat_mul(a, b):
 
 
 def quat_from_rotvec(w):
-    """Unit quaternion of an axis-angle vector; series form near zero."""
+    """Unit quaternion of an axis-angle vector; series form near zero, chosen per element over arrays."""
     wx, wy, wz = w
     angle_sq = wx * wx + wy * wy + wz * wz
-    if angle_sq < SMALL_ANGLE_SQ:
-        qw = 1.0 - angle_sq / 8.0 + angle_sq * angle_sq / 384.0
-        half = 0.5 - angle_sq / 48.0 + angle_sq * angle_sq / 3840.0
-    else:
-        angle = jets.sqrt(angle_sq)
-        qw = jets.cos(angle * 0.5)
-        half = jets.sin(angle * 0.5) / angle
+    small, sq = angle_sq < SMALL_ANGLE_SQ, angle_sq * angle_sq
+    qw, half = 1.0 - angle_sq / 8.0 + sq / 384.0, 0.5 - angle_sq / 48.0 + sq / 3840.0
+    if not np.all(small):  # the exact form divides by the angle, so it gets 1.0 where the series applies
+        angle = jets.sqrt(jets.where(small, 1.0, angle_sq))
+        qw, half = jets.where(small, qw, jets.cos(angle * 0.5)), jets.where(small, half, jets.sin(angle * 0.5) / angle)
     return (qw, wx * half, wy * half, wz * half)
 
 
@@ -101,7 +100,14 @@ def _rotation_to_quat(r: np.ndarray) -> np.ndarray:
         q[1 + i] = s / 4.0
         q[1 + j] = (r[j, i] + r[i, j]) / s
         q[1 + k] = (r[k, i] + r[i, k]) / s
-    return q / np.linalg.norm(q)
+    return q / _norm(q)
+
+
+def _norm(v) -> float:
+    """Euclidean norm as sqrt(fma(x3, x3, fma(x2, x2, fma(x1, x1, x0 * x0)))), each fma exact in fractions:
+    the bits of OpenBLAS's AVX-512 ddot, whatever the BLAS kernel, so generated problems do not depend on it."""
+    x0, *rest = map(float, v)
+    return math.sqrt(functools.reduce(lambda acc, x: float(Fraction(x) * Fraction(x) + Fraction(acc)), rest, x0 * x0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +222,14 @@ def total_cost(scene: Scene) -> float:
 def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked 2-vector residuals (predicted - observed) and their Jacobian.
 
-    Each observation only touches 6 camera + 3 point parameters, so the
-    jets carry 9 partials which are scattered into the full Jacobian.  Each
-    camera's rotation is composed in scalar jets (the small-angle branch is per
-    camera), then every observation is projected in one pass of array jets.
+    Each observation only touches 6 camera + 3 point parameters, so the jets carry 9 partials which are
+    scattered into the full Jacobian.  Every observation is rotated and projected in one pass of array jets.
     """
     nc = scene.n_camera_params
     pt, cam = scene.pairs.T
-    _, _, focal, principal_point = _observing_cameras(scene)
+    quaternion, _, focal, principal_point = _observing_cameras(scene)
     local = jets.variables([*theta[:nc].reshape(-1, 6)[cam].T, *theta[nc:].reshape(-1, 3)[pt].T])
-    eye = np.eye(9)  # the rotation increment seeded as local[0:3], once per camera
-    chain = []
-    for j, base in enumerate(scene.cameras):
-        w = [jets.Jet(float(v), eye[k][:, None]) for k, v in enumerate(theta[6 * j : 6 * j + 3])]
-        chain.append(rotate_by(w, base.quaternion.tolist()))
-    quat = [  # each camera's quaternion jet, gathered to its observations
-        jets.Jet(np.array([q.value for q in qc])[cam], np.hstack([q.partials for q in qc])[:, cam]) for qc in zip(*chain)
-    ]
-    uv = _project_generic(quat, local[3:6], focal, principal_point, local[6:9])
+    uv = _project_generic(rotate_by(local[0:3], quaternion), local[3:6], focal, principal_point, local[6:9])
     r = (np.stack([u.value for u in uv], axis=1) - scene.keypoints).ravel()
     cols = np.hstack([6 * cam[:, None] + np.arange(6), nc + 3 * pt[:, None] + np.arange(3)]).repeat(2, axis=0)
     jac = np.zeros((r.size, scene.n_params))
@@ -351,10 +347,10 @@ class BaProblem:
 
 def _look_at(position: np.ndarray, target: np.ndarray) -> np.ndarray:
     forward = target - position
-    forward = forward / np.linalg.norm(forward)
+    forward = forward / _norm(forward)
     up = np.array([0.0, 0.0, 1.0])
     right = np.cross(up, forward)
-    right = right / np.linalg.norm(right)
+    right = right / _norm(right)
     down = np.cross(forward, right)
     return _rotation_to_quat(np.vstack([right, down, forward]))
 
@@ -418,7 +414,7 @@ def generate_problem(
     for cam in true_cams:
         while True:  # redraw until every point projects; deterministic per seed
             axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
+            axis /= _norm(axis)
             dangle = rng.uniform(-camera_rotation_noise, camera_rotation_noise) * quat_angle(cam.quaternion)
             quat = np.array(rotate_by(tuple(axis * dangle), tuple(cam.quaternion)))
             pos = cam.position * (1.0 + rng.uniform(-camera_position_noise, camera_position_noise, size=3))

@@ -78,7 +78,8 @@ def _divide(a, da, b, db) -> Jet:
     if np.count_nonzero(b == 0.0):  # np.any costs ~5x more on a float
         raise ZeroDivisionError("jet division by zero value")
     inv = 1.0 / b
-    return Jet(a * inv, (da - a * inv * db) * inv)
+    quotient = a * inv
+    return Jet(quotient, (da - quotient * db) * inv)
 
 
 def _value(x) -> float:
@@ -100,13 +101,24 @@ def sqrt(x):
     return math.sqrt(x)
 
 
+def _libm(f, x):  # per element for an array: numpy's vectorized sin and cos may round differently
+    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+
+
 def sin(x):
     if isinstance(x, Jet):
-        return Jet(math.sin(x.value), math.cos(x.value) * x.partials)
+        return Jet(_libm(math.sin, x.value), _libm(math.cos, x.value) * x.partials)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet):
-        return Jet(math.cos(x.value), -math.sin(x.value) * x.partials)
+        return Jet(_libm(math.cos, x.value), -_libm(math.sin, x.value) * x.partials)
     return math.cos(x)
+
+
+def where(cond, a, b):
+    """a where cond holds and b elsewhere: per element over array jets, whole for a float or scalar jet."""
+    if np.ndim(cond) == 0:
+        return a if cond else b
+    return Jet(*(np.where(cond, x, y) for x, y in zip(_split(a), _split(b))))  # value, then partials

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import hashlib
 import math
 import operator
@@ -17,6 +18,7 @@ from qlma.ba import (
     NormalEquations,
     ProjectionError,
     Scene,
+    _norm,
     _project_generic,
     back_substitute,
     build_normal_equations,
@@ -29,6 +31,7 @@ from qlma.ba import (
     quat_normalize,
     quat_rotate,
     residuals_and_jacobian,
+    rotate_by,
     save_problem,
     schur_reduce,
     total_cost,
@@ -189,6 +192,43 @@ def test_quat_mul_composes_rotations():
 def test_quat_angle():
     q = quat_from_rotvec((0.0, 1.2, 0.0))
     assert quat_angle(q) == pytest.approx(1.2)
+
+
+def _jet_bytes(jet, k=None):
+    """A jet's value and partials as bytes; with k, those of element k of an array jet."""
+    if k is None:
+        return np.float64(jet.value).tobytes(), jet.partials[:, 0].tobytes()
+    return np.float64(jet.value[k]).tobytes(), jet.partials[:, k].tobytes()
+
+
+series_component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5e-5, 5e-5))  # 3 of these: angle^2 < 1e-8
+exact_component = st.floats(-2.0, 2.0)
+rotation = st.one_of(st.tuples(*[series_component] * 3), st.tuples(*[exact_component] * 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    increments=st.lists(rotation, min_size=1, max_size=6),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(c * c for c in q) > 0.01),
+)
+def test_array_rotate_by_bytes_match_per_element_scalar_jets(increments, quaternion):
+    # each element takes its own branch of quat_from_rotvec, as a scalar jet would: series, exact or mixed
+    w = np.array(increments).T
+    q = np.array([quaternion] * len(increments)).T * np.linspace(0.5, 1.5, len(increments))  # one per element
+    batched = rotate_by(jets.variables(w), q)
+    for k in range(len(increments)):
+        scalar = rotate_by(jets.variables(w[:, k]), tuple(q[:, k]))
+        assert [_jet_bytes(c, k) for c in batched] == [_jet_bytes(c) for c in scalar]
+
+
+@pytest.mark.parametrize("function", ["sin", "cos"])
+def test_array_jet_sin_and_cos_are_libm_per_element(function):
+    x = np.array([0.0, -0.0, 1e-300, 5e-5, 0.5, -1.25, 3.0, 1e5, -7.77e7])
+    (jet,) = jets.variables([x])
+    out = getattr(jets, function)(jet)
+    derivative = {"sin": math.cos, "cos": lambda v: -math.sin(v)}[function]
+    assert out.value.tobytes() == np.array([getattr(math, function)(v) for v in x]).tobytes()
+    assert out.partials.tobytes() == np.array([[derivative(v) for v in x]]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +660,16 @@ def test_singular_point_block_rejects_the_candidate(monkeypatch):
 # ---------------------------------------------------------------------------
 # generation and serialization
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=4))
+def test_generator_norm_rounds_each_fma_once(v):
+    exact = decimal.Context(prec=decimal.MAX_PREC)  # products and sums of floats without rounding
+    expected = v[0] * v[0]
+    for x in map(decimal.Decimal, v[1:]):
+        expected = float(exact.add(exact.multiply(x, x), decimal.Decimal(expected)))  # one rounding per fma
+    assert _norm(v) == math.sqrt(expected)
+
 
 def test_generation_deterministic():
     a, b = generate_problem(6), generate_problem(6)
