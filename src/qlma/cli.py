@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import (
-    build_normal_equations,
-    generate_problem,
-    residuals_and_jacobian,
-    save_problem,
-    schur_reduce,
-)
-from .hhl import HhlConfig, embed_problem, hhl_gate_tally
+from .ba import build_normal_equations, generate_problem, residuals_and_jacobian, save_problem
+from .hhl import HhlConfig, hhl_gate_tally
 from .noise import (
     RATE_PRESETS,
     REFERENCE_COUNTS,
@@ -39,6 +33,7 @@ from .optimizer import (
     SETUPS,
     ConvergenceTrace,
     LinearBackend,
+    hhl_system,
     optimize,
     write_trace_csv,
 )
@@ -293,9 +288,7 @@ def cmd_noise(
         problem = generate_problem(1)
         r, jac = residuals_and_jacobian(problem.initial, problem.initial.initial_params())
         ne = build_normal_equations(r, jac, SETUPS[1].lambda1_init, SETUPS[1].lambda2, m_c=problem.initial.n_camera_params)
-        s, rhs = schur_reduce(ne)
-        embedded = embed_problem(s, -rhs, force_dilation=True)
-        one, two, per = hhl_gate_tally(embedded, hhl)
+        one, two, per = hhl_gate_tally(hhl_system(ne), hhl)
         print("own unrolled tally:", " ".join(f"{k}={v}" for k, v in sorted(per.items())))
         print(f"own totals: one-qubit={one} two-qubit={two}")
         print(f"single-run success with own counts: {success_probability((one, two), 0, rates):.6e}")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ba import (
     BaProblem,
+    NormalEquations,
     ProjectionError,
     back_substitute,
     build_normal_equations,
@@ -25,7 +26,7 @@ from .ba import (
     schur_reduce,
     total_cost,
 )
-from .hhl import HhlConfig, _hhl_lambda_bound, embed_problem, hhl_solve
+from .hhl import HermitianProblem, HhlConfig, _hhl_lambda_bound, embed_problem, hhl_solve
 from .sim import SimulationError
 
 ZERO_COST = 1e-12
@@ -108,30 +109,28 @@ def update_damping(lambda1: float, omega: float, dcost_sq: float, cfg: DampingCo
     return lambda1
 
 
-def lma_step(
-    residuals: np.ndarray,
-    jacobian: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-    backend: LinearBackend,
-    m_c: int | None = None,
-) -> np.ndarray:
-    """Solve (J^T J + l1 D^T D + l2 I) step = -J^T r with the given backend.
+def hhl_system(ne: NormalEquations) -> HermitianProblem:
+    """The hhl step's system: the Schur-reduced camera system, symmetrized
+    (the reduction leaves roundoff asymmetry that embed_problem rejects) and
+    dilated."""
+    s, rhs = schur_reduce(ne)
+    return embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)
+
+
+def lma_step(ne: NormalEquations, backend: LinearBackend) -> np.ndarray:
+    """Solve the damped normal equations ne for the step with the given backend.
 
     The Schur backends reduce onto the camera block first; the hhl backend
     additionally routes the reduced system through the quantum solver and
     back-substitutes the point steps classically.
     """
-    ne = build_normal_equations(residuals, jacobian, lambda1, lambda2, m_c=m_c)
     if backend.kind == "classical-dense":
-        h = ne.full_matrix()
-        g = ne.full_gradient()
-        return np.linalg.solve(h, -g)
-    s, rhs = schur_reduce(ne)
+        return np.linalg.solve(ne.full_matrix(), -ne.full_gradient())
     if backend.kind == "classical-schur":
+        s, rhs = schur_reduce(ne)
         delta_cam = np.linalg.solve(s, -rhs)
     else:
-        problem = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)  # S carries roundoff asymmetry
+        problem = hhl_system(ne)
         cfg = backend.hhl
         if cfg.lambda_bound is None:
             bound = _hhl_lambda_bound(problem.matrix, cfg.n_phase_qubits)
@@ -174,11 +173,11 @@ def optimize(
     for iteration in range(1, max_iters + 1):
         started = time.perf_counter()
         r, jac = residuals_and_jacobian(scene, scene.initial_params())
-        gradient = jac.T @ r
-        omega = float(gradient @ prev_step) / scene.n_params if iteration > 1 else 0.0
+        ne = build_normal_equations(r, jac, lam1, damping.lambda2, m_c=scene.n_camera_params)
+        omega = float(ne.full_gradient() @ prev_step) / scene.n_params if iteration > 1 else 0.0
         lam_used = lam1
         try:
-            raw_step = lma_step(r, jac, lam1, damping.lambda2, backend, m_c=scene.n_camera_params)
+            raw_step = lma_step(ne, backend)
             step = (1.0 - mix) * raw_step + mix * prev_step
             candidate = scene.moved(step)
             cand_cost = total_cost(candidate)

@@ -276,14 +276,15 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the ops in order, one kernel pass per op (Circuit._passes)."""
-    if circuit.n_qubits != state.n_qubits:
-        raise SimulationError(
-            f"circuit on {circuit.n_qubits} qubits applied to {state.n_qubits}-qubit state"
-        )
+    """Apply the ops in order, one kernel pass per op (Circuit._passes); the
+    norm is checked once, on the final state."""
+    n = state.n_qubits
+    if circuit.n_qubits != n:
+        raise SimulationError(f"circuit on {circuit.n_qubits} qubits applied to {n}-qubit state")
+    amps = state.amplitudes
     for i0, i1, mat in circuit._passes:
-        state = StateVector(state.n_qubits, _apply_pass(state.amplitudes, state.n_qubits, i0, i1, mat))
-    return state
+        amps = _apply_pass(amps, n, i0, i1, mat)
+    return StateVector(n, amps)
 
 
 @functools.lru_cache(maxsize=64)

@@ -538,7 +538,7 @@ def test_large_damping_step_is_descent_direction():
         scene = prob.initial
         cost = total_cost(scene)
         r, jac = residuals_and_jacobian(scene, scene.initial_params())
-        step = lma_step(r, jac, 1e6, 1e-9, LinearBackend("classical-dense"), m_c=12)
+        step = lma_step(build_normal_equations(r, jac, 1e6, 1e-9, m_c=12), LinearBackend("classical-dense"))
         assert total_cost(scene.moved(step)) < cost
 
 

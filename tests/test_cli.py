@@ -1,5 +1,7 @@
 import concurrent.futures
 import csv
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
@@ -486,38 +488,71 @@ def test_compare_flag_and_config_file_value_agree(tmp_path, monkeypatch, key):
     assert from_flag == from_file == expected
 
 
-# SHA-256 of each file, recorded with BLAS on one thread.
+def _openblas_core() -> str:
+    """The kernel OpenBLAS picked at load time (SkylakeX, Haswell, ...), as it names it."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
+    if not libs:
+        return "unknown (no OpenBLAS in numpy.libs)"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+# SHA-256 of each file, recorded with BLAS on one thread.  The gen bytes hold
+# on every kernel ("any"); the traces behind compare and run go through BLAS
+# and LAPACK, so their sets are recorded per OpenBLAS kernel (_openblas_core).
 _PINNED_OUTPUTS = [
     (
         ["compare", "--seeds", "1,2", "--backend", "hhl", "--backend-b", "classical", "--iters", "10"],
         {
-            "compare_seed1.csv": "59c19576a6f61efaec672e519fff1d15091c22df0e025522e7f312ea7b66463d",
-            "compare_seed1.svg": "9d984f2555bdba338cf12dfe4bdb0fa592cb5f50ccb31e961dd45983e0bef7f2",
-            "compare_seed2.csv": "867ff8a4b6a3652f6ac0211a612892a336ca69c6a2f68b7d7b7cfafb2f2a6ae8",
-            "compare_seed2.svg": "461428e00aeb0735658b73713ab3ac5f0bcfbee4c8f53593ba71dc461bb8352a",
+            "SkylakeX": {
+                "compare_seed1.csv": "59c19576a6f61efaec672e519fff1d15091c22df0e025522e7f312ea7b66463d",
+                "compare_seed1.svg": "9d984f2555bdba338cf12dfe4bdb0fa592cb5f50ccb31e961dd45983e0bef7f2",
+                "compare_seed2.csv": "867ff8a4b6a3652f6ac0211a612892a336ca69c6a2f68b7d7b7cfafb2f2a6ae8",
+                "compare_seed2.svg": "461428e00aeb0735658b73713ab3ac5f0bcfbee4c8f53593ba71dc461bb8352a",
+            },
+            "Haswell": {
+                "compare_seed1.csv": "bb5cc31ec0f88526e2858795ca22a4852aa633b6421a66a444a7ecd64a4f9b08",
+                "compare_seed1.svg": "9d984f2555bdba338cf12dfe4bdb0fa592cb5f50ccb31e961dd45983e0bef7f2",
+                "compare_seed2.csv": "d24d86503878855f61bca893358c45573fdac814d7abfec8ed6207d1dc60d946",
+                "compare_seed2.svg": "461428e00aeb0735658b73713ab3ac5f0bcfbee4c8f53593ba71dc461bb8352a",
+            },
         },
     ),
     (
         ["gen", "--seeds", "1,2", "--noise-on", "keypoints"],
         {
-            "problem_seed1.txt": "c3aeec909c11cfba4aff1e56b1c6e1d555003b0e15f27806b17d98d17dbad957",
-            "problem_seed2.txt": "59fb836eb8c46cb1a37ca50dcca66a4a19986e02af4f52f85ed880b68a95cce2",
+            "any": {
+                "problem_seed1.txt": "c3aeec909c11cfba4aff1e56b1c6e1d555003b0e15f27806b17d98d17dbad957",
+                "problem_seed2.txt": "59fb836eb8c46cb1a37ca50dcca66a4a19986e02af4f52f85ed880b68a95cce2",
+            },
         },
     ),
     (  # at setup 2's small damping the Schur complement is asymmetric by roundoff, which the hhl step must absorb
         ["run", "--setup", "2", "--backend", "hhl", "--seeds", "2,5"],
         {
-            "summary.csv": "d446e35a7edc039ec20dfd66019e6ac9500e84074697ebb66594a3611bddd664",
-            "summary.svg": "89a468f21b144a84f566c39c40eb2e7d586a12852b94aabeb91fa91ea3089827",
-            "trace_seed2.csv": "e0d32b97a450cc9c0a621afd0d06080c5a698cdce04ca480d1df63fe17edac26",
-            "trace_seed5.csv": "10d8ccd36f1799a82b625fb7d98dec1c3c0f825ed91b8e78a29730732739829a",
+            "SkylakeX": {
+                "summary.csv": "d446e35a7edc039ec20dfd66019e6ac9500e84074697ebb66594a3611bddd664",
+                "summary.svg": "89a468f21b144a84f566c39c40eb2e7d586a12852b94aabeb91fa91ea3089827",
+                "trace_seed2.csv": "e0d32b97a450cc9c0a621afd0d06080c5a698cdce04ca480d1df63fe17edac26",
+                "trace_seed5.csv": "10d8ccd36f1799a82b625fb7d98dec1c3c0f825ed91b8e78a29730732739829a",
+            },
+            "Haswell": {
+                "summary.csv": "50e257d19c1f46c674b294055eb6dba4be1121df394eb4708368d0ee4b33124f",
+                "summary.svg": "89a468f21b144a84f566c39c40eb2e7d586a12852b94aabeb91fa91ea3089827",
+                "trace_seed2.csv": "bed88e772138c026523a8d41ed6e6375f791cb57b0fd3141d89d4097801e0203",
+                "trace_seed5.csv": "fa6ad92f54f28026f76b7dc77b0fbec8ec5cda2bb6fe22c2ee023ca23fb76705",
+            },
         },
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digests", _PINNED_OUTPUTS, ids=["compare", "gen", "run-setup2-hhl"])
-def test_compare_and_gen_outputs_match_pinned_digests(tmp_path, argv, digests):
+@pytest.mark.parametrize("argv, digests_by_core", _PINNED_OUTPUTS, ids=["compare", "gen", "run-setup2-hhl"])
+def test_compare_and_gen_outputs_match_pinned_digests(tmp_path, argv, digests_by_core):
+    core = _openblas_core()
+    digests = digests_by_core.get("any", digests_by_core.get(core))
+    assert digests is not None, f"no digests recorded for OpenBLAS core {core}"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     script = "import sys; from qlma.cli import main; sys.exit(main(sys.argv[1:]))"
     result = subprocess.run(

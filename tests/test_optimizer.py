@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlma.optimizer as opt
-from qlma.ba import ProjectionError, generate_problem, residuals_and_jacobian, total_cost
-from qlma.hhl import HhlConfig, HhlError
+from qlma.ba import ProjectionError, build_normal_equations, generate_problem, residuals_and_jacobian, total_cost
+from qlma.hhl import HERMITIAN_TOL, HhlConfig, HhlError, embed_problem
 from qlma.optimizer import (
+    BACKEND_KINDS,
     SETUPS,
     DampingConfig,
     LinearBackend,
+    hhl_system,
     lma_step,
     optimize,
     update_damping,
@@ -86,7 +88,7 @@ def test_damping_config_validation():
 
 def test_step_identity_jacobian_is_negative_residual():
     r = np.array([1.0, -2.0, 0.5])
-    step = lma_step(r, np.eye(3), 0.0, 0.0, LinearBackend("classical-dense"))
+    step = lma_step(build_normal_equations(r, np.eye(3), 0.0, 0.0), LinearBackend("classical-dense"))
     assert np.allclose(step, -r)
 
 
@@ -95,7 +97,7 @@ def test_step_large_damping_limits_to_scaled_gradient():
     jac = rng.normal(size=(12, 6))
     r = rng.normal(size=12)
     lam1 = 1e8
-    step = lma_step(r, jac, lam1, 0.0, LinearBackend("classical-dense"))
+    step = lma_step(build_normal_equations(r, jac, lam1, 0.0), LinearBackend("classical-dense"))
     dtd = np.diag(jac.T @ jac)
     expected = -(jac.T @ r) / (lam1 * dtd)
     assert np.allclose(step, expected, rtol=1e-6)
@@ -104,8 +106,8 @@ def test_step_large_damping_limits_to_scaled_gradient():
 def test_step_backends_match_on_bundle_problem():
     prob = generate_problem(1)
     r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
-    dense = lma_step(r, jac, 0.01, 0.01, LinearBackend("classical-dense"), m_c=12)
-    schur = lma_step(r, jac, 0.01, 0.01, LinearBackend("classical-schur"), m_c=12)
+    dense = lma_step(build_normal_equations(r, jac, 0.01, 0.01, m_c=12), LinearBackend("classical-dense"))
+    schur = lma_step(build_normal_equations(r, jac, 0.01, 0.01, m_c=12), LinearBackend("classical-schur"))
     assert np.allclose(dense, schur, atol=1e-10)
 
 
@@ -113,9 +115,37 @@ def test_hhl_step_matches_classical_on_well_conditioned_system():
     prob = generate_problem(1)
     r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
     lam2 = 1e4  # condition number about 1 + ||JtJ|| / lam2
-    classical = lma_step(r, jac, 1.0, lam2, LinearBackend("classical-dense"), m_c=12)
-    quantum = lma_step(r, jac, 1.0, lam2, LinearBackend("hhl"), m_c=12)
+    classical = lma_step(build_normal_equations(r, jac, 1.0, lam2, m_c=12), LinearBackend("classical-dense"))
+    quantum = lma_step(build_normal_equations(r, jac, 1.0, lam2, m_c=12), LinearBackend("hhl"))
     assert np.linalg.norm(quantum - classical) / np.linalg.norm(classical) < 5e-2
+
+
+def test_hhl_system_absorbs_roundoff_asymmetry():
+    prob = generate_problem(1)
+    r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
+    ne = build_normal_equations(r, jac, 0.01, 0.01, m_c=12)
+    eps = 10 * HERMITIAN_TOL * np.max(np.abs(ne.camera_block))
+    ne.camera_block[0, 1] += eps
+    ne.camera_block[1, 0] -= eps
+    s, rhs = opt.schur_reduce(ne)
+    with pytest.raises(HhlError, match="not symmetric"):
+        embed_problem(s, -rhs)
+    problem = hhl_system(ne)
+    expected = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)
+    assert problem.matrix.tobytes() == expected.matrix.tobytes()
+    assert problem.rhs.tobytes() == expected.rhs.tobytes() and problem.rhs_norm == expected.rhs_norm
+    assert problem.matrix[:12, 16:28].tobytes() == ((s + s.T) / 2.0).tobytes()  # the dilation's upper block
+
+
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+def test_normal_equations_are_assembled_once_per_iteration(monkeypatch, kind):
+    assembled, solved = [], []
+    build, step = opt.build_normal_equations, opt.lma_step
+    monkeypatch.setattr(opt, "build_normal_equations", lambda *a, **k: assembled.append(build(*a, **k)) or assembled[-1])
+    monkeypatch.setattr(opt, "lma_step", lambda ne, backend: solved.append(ne) or step(ne, backend))
+    trace = optimize(generate_problem(1), SETUP1, LinearBackend(kind), 4)
+    assert len(assembled) == len(solved) == len(trace.records) == 4
+    assert all(a is s for a, s in zip(assembled, solved))
 
 
 @pytest.mark.xfail(
@@ -133,9 +163,9 @@ def test_backend_agreement_ten_percent_invariant():
         scene = prob.initial
         r, jac = residuals_and_jacobian(scene, scene.initial_params())
         for record in trace.records:
-            lam1 = record.lambda1
-            classical = lma_step(r, jac, lam1, 0.01, LinearBackend("classical-schur"), m_c=12)
-            quantum = lma_step(r, jac, lam1, 0.01, LinearBackend("hhl"), m_c=12)
+            ne = build_normal_equations(r, jac, record.lambda1, 0.01, m_c=12)
+            classical = lma_step(ne, LinearBackend("classical-schur"))
+            quantum = lma_step(ne, LinearBackend("hhl"))
             total += 1
             if np.linalg.norm(quantum - classical) / np.linalg.norm(classical) < 0.10:
                 matched += 1

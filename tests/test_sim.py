@@ -315,6 +315,15 @@ def test_circuit_passes_are_computed_once_and_read_only():
             coeffs[..., 0, 0] = 0.0
 
 
+def test_norm_change_in_any_pass_fails_the_final_check():
+    # the norm is checked once per circuit; a later unitary pass keeps a lost norm lost
+    circuit = Circuit(2, (h(0), h(1)))
+    i0, i1, mat = circuit._passes[0]
+    circuit.__dict__["_passes"] = ((i0, i1, 1.5 * mat), circuit._passes[1])
+    with pytest.raises(SimulationError, match="norm"):
+        apply_circuit(StateVector.zero(2), circuit)
+
+
 def test_repeated_control_pattern_is_applied_twice():
     rotations = [cry(0.3, 3, (0, 1, 2), (1, 0, 1)), cry(0.5, 3, (0, 1, 2), (0, 0, 1)), cry(0.7, 3, (0, 1, 2), (1, 0, 1))]
     state = seeded_state(4, 3)
