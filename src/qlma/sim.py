@@ -255,35 +255,40 @@ def _pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[sli
     return i0, tuple(sel)
 
 
-def _apply_pass(amps: np.ndarray, n_qubits: int, i0, i1, mat: np.ndarray) -> np.ndarray:
-    """new[i0] = m00*a0 + m01*a1 and new[i1] = m10*a0 + m11*a1 with a0, a1
-    the amplitudes at the views i0, i1 of the (2,)*n tensor."""
-    out = amps.copy()
-    src, dst = amps.reshape((2,) * n_qubits), out.reshape((2,) * n_qubits)
-    a0, a1 = src[i0], src[i1]
-    dst[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    dst[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return out
+def _apply_pass(amps: np.ndarray, n_qubits: int, i0, i1, mat: np.ndarray) -> None:
+    """In place: amps[i0] = m00*a0 + m01*a1 and amps[i1] = m10*a0 + m11*a1,
+    a0 and a1 the views i0, i1 of the (2,)*n tensor, both read before either
+    is written.  Exactly zero terms are left out and exactly unit coefficients
+    multiply nothing, so a controlled phase writes only m11*a1 and a flip only
+    swaps the halves; only the sign of an exactly zero component can differ
+    from the dense arithmetic."""
+    t = amps.reshape((2,) * n_qubits)
+    halves = t[i0], t[i1]
+    rows = []
+    for coeffs in mat.tolist():
+        terms = [a if c == 1 else c * a for c, a in zip(coeffs, halves) if c != 0]
+        rows.append(terms[0] + terms[1] if len(terms) == 2 else terms[0])
+    if rows[1] is halves[0]:  # a flip's second row views the half its first row overwrites
+        rows[1] = rows[1].copy()
+    for index, row, half in zip((i0, i1), rows, halves):
+        if row is not half:
+            t[index] = row
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Apply one gate; returns the new state (norm preserved)."""
-    n = state.n_qubits
-    for q in op.qubits:
-        if not 0 <= q < n:
-            raise SimulationError(f"qubit {q} out of range for {n}-qubit state")
-    return StateVector(n, _apply_pass(state.amplitudes, n, *_pair_views(n, op), gate_matrix(op)))
+    """Apply one gate: a one-op apply_circuit."""
+    return apply_circuit(state, Circuit(state.n_qubits, (op,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the ops in order, one kernel pass per op (Circuit._passes); the
-    norm is checked once, on the final state."""
+    """Apply the ops in order, one in-place pass per op (Circuit._passes) on
+    one copy of the amplitudes; the norm is checked once, on the final state."""
     n = state.n_qubits
     if circuit.n_qubits != n:
         raise SimulationError(f"circuit on {circuit.n_qubits} qubits applied to {n}-qubit state")
-    amps = state.amplitudes
+    amps = state.amplitudes.copy()
     for i0, i1, mat in circuit._passes:
-        amps = _apply_pass(amps, n, i0, i1, mat)
+        _apply_pass(amps, n, i0, i1, mat)
     return StateVector(n, amps)
 
 

@@ -71,6 +71,15 @@ class HermitianDecomposition:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
+        # Float coefficients and valid labels pass one check over all terms;
+        # anything else goes through the per-term checks, which name the first bad term.
+        coefs, labels = zip(*self.terms) if self.terms else ((), ())
+        if (
+            set(map(len, self.terms)) <= {2} and set(map(type, coefs)) <= {float} and all(map(math.isfinite, coefs))
+            and set(map(type, labels)) <= {str} and set(map(len, labels)) <= {self.n_qubits}
+            and not "".join(labels).strip(PAULI_LABELS)
+        ):
+            return
         for coef, label in self.terms:
             if not isinstance(label, str) or len(label) != self.n_qubits or label.strip(PAULI_LABELS):
                 raise SimulationError(f"bad Pauli label {label!r} for {self.n_qubits} qubits")

@@ -1,17 +1,32 @@
 """Reference forms the tests check the package against: gate and circuit
 unitaries, Pauli-string matrices, the sum of a decomposition, a reader for
-trace files, the phase-estimation circuit, and the three-qubit textbook
-instance of the linear solver."""
+trace files, the phase-estimation circuit, the three-qubit textbook
+instance of the linear solver, and the name of the OpenBLAS kernel that the
+pinned digests are recorded per."""
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
+import os
 
 import numpy as np
 
 from qlma.optimizer import ConvergenceTrace, IterationRecord
 from qlma.sim import Circuit, GateOp, StateVector, apply_gate, cx, h
 from qlma.trotter import EvolutionSpec, HermitianDecomposition, inverse_qft_circuit, trotter_circuit
+
+
+def openblas_core() -> str:
+    """The kernel OpenBLAS picked at load time (SkylakeX, Haswell, ...), as it names it."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
+    if not libs:
+        return "unknown (no OpenBLAS in numpy.libs)"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),

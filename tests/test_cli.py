@@ -1,7 +1,5 @@
 import concurrent.futures
 import csv
-import ctypes
-import glob
 import hashlib
 import os
 import subprocess
@@ -11,6 +9,8 @@ import numpy as np
 import pytest
 
 from qlma.cli import COMPARE_KEYS, RUN_KEYS, RunConfig, main, run_batch, write_summary
+
+from reference import openblas_core
 
 
 def read_csv(path):
@@ -488,19 +488,9 @@ def test_compare_flag_and_config_file_value_agree(tmp_path, monkeypatch, key):
     assert from_flag == from_file == expected
 
 
-def _openblas_core() -> str:
-    """The kernel OpenBLAS picked at load time (SkylakeX, Haswell, ...), as it names it."""
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
-    if not libs:
-        return "unknown (no OpenBLAS in numpy.libs)"
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
-
-
 # SHA-256 of each file, recorded with BLAS on one thread.  The gen bytes hold
 # on every kernel ("any"); the traces behind compare and run go through BLAS
-# and LAPACK, so their sets are recorded per OpenBLAS kernel (_openblas_core).
+# and LAPACK, so their sets are recorded per OpenBLAS kernel (openblas_core).
 _PINNED_OUTPUTS = [
     (
         ["compare", "--seeds", "1,2", "--backend", "hhl", "--backend-b", "classical", "--iters", "10"],
@@ -550,7 +540,7 @@ _PINNED_OUTPUTS = [
 
 @pytest.mark.parametrize("argv, digests_by_core", _PINNED_OUTPUTS, ids=["compare", "gen", "run-setup2-hhl"])
 def test_compare_and_gen_outputs_match_pinned_digests(tmp_path, argv, digests_by_core):
-    core = _openblas_core()
+    core = openblas_core()
     digests = digests_by_core.get("any", digests_by_core.get(core))
     assert digests is not None, f"no digests recorded for OpenBLAS core {core}"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

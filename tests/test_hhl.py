@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import re
 import weakref
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlma.hhl
+from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian
 from qlma.hhl import (
     REACHABLE_TOL,
     HermitianProblem,
@@ -20,6 +22,7 @@ from qlma.hhl import (
     hhl_solve,
     inversion_rotation_circuit,
     _apply_controlled_block,
+    _hhl_lambda_bound,
     _inversion_table,
     _nearest_unitary,
     _squaring_chain,
@@ -27,6 +30,7 @@ from qlma.hhl import (
     spectral_bound,
     state_preparation_circuit,
 )
+from qlma.optimizer import hhl_system
 from qlma.sim import (
     Circuit,
     StateVector,
@@ -45,7 +49,7 @@ from qlma.trotter import (
     inverse_qft_circuit,
 )
 
-from reference import minimal_hhl_circuit, qpe_circuit
+from reference import minimal_hhl_circuit, openblas_core, qpe_circuit
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -551,10 +555,10 @@ def full_register_hhl_solve(problem, config):
     iqft = inverse_qft_circuit(phase_qubits)
     for q in phase_qubits:
         state = apply_gate(state, h(q))
-    amps = state.amplitudes
+    amps = state.amplitudes.copy()
     step = _nearest_unitary(evolution_matrix(spec))
     for q, power in zip(phase_qubits, _squaring_chain(step, m)):
-        amps = _apply_controlled_block(amps, power, k, q)
+        _apply_controlled_block(amps, power, k, q)
         amps = amps / np.linalg.norm(amps)
     state = apply_circuit(StateVector(n, amps), Circuit(n, iqft.ops))
 
@@ -563,9 +567,9 @@ def full_register_hhl_solve(problem, config):
     state = apply_circuit(state, Circuit(n, inversion.ops))
 
     state = apply_circuit(state, Circuit(n, inverse_circuit(iqft).ops))
-    amps = state.amplitudes
+    amps = state.amplitudes.copy()
     for q, power in reversed(list(zip(phase_qubits, _squaring_chain(step.conj().T, m)))):
-        amps = _apply_controlled_block(amps, power, k, q)
+        _apply_controlled_block(amps, power, k, q)
         amps = amps / np.linalg.norm(amps)
     state = StateVector(n, amps)
     for q in phase_qubits:
@@ -626,3 +630,56 @@ def test_solve_bit_identical_to_full_register_pipeline(problem, m, slices):
     assert got.solution.tobytes() == solution.tobytes()
     assert (got.success_probability, got.fidelity_proxy) == (success, fidelity)
     assert got.register_distribution == register
+
+
+# ---------------------------------------------------------------------------
+# the hhl step's own solves, pinned
+# ---------------------------------------------------------------------------
+
+# SHA-256 over the 16 solves at each phase-qubit count, recorded with BLAS on
+# one thread.  The systems go through BLAS and LAPACK (the evolution matrix,
+# its powers, eigvalsh), so the sets are recorded per OpenBLAS kernel.
+_LM_SOLVE_DIGESTS = {
+    "SkylakeX": {
+        1: "4bb8f87b714c2f88042bc9f9a5a44657988ad7666eb8d7ac177139dd24ea3aec",
+        2: "bccab11f199e6775938f34430898390ecba2d5e14b69dddb27713e0cbc0dbfce",
+        3: "55307e605038ea16787f0d4daf954eecddc1ee9165b5618d45fd823add5ef7e2",
+        5: "86a54bf16ad922b801706d34edb952a1fed97e6a24a169533d1d7349f1280bc1",
+        7: "3c9ddd796b4bbdcb6e98652ebc91633a4edf6c68245ca85d905065e5842bf28c",
+    },
+    "Haswell": {
+        1: "7e001a1906e2c78b2f9ab0d91e56430fb50f9ba058c65e2f7f90c8534dc9c0fc",
+        2: "79ab885efc9094dc61fd215c8f55ec6e80f305da3cd3add0622470bc45723b1f",
+        3: "30e74b0859f01968ddf38e41ffdd730c7c602b666592ddb34acd5859d2b5d5df",
+        5: "6045fb5abdb006e13a9d816209a3fba83ad50cb483b8210c8e8f639e4f56e8a7",
+        7: "ec11f03cd7047a2d89150488117236dbb6c37a7dbffa0d9e6c790c2e72134a08",
+    },
+}
+
+
+def _lm_solve_digest(m):
+    """The hhl step's system (hhl_system) at the initial parameters of problem
+    seeds 1-8, with lambda1 in {1e-2, 1e-5} and lambda2 = 0.01, solved at m
+    phase qubits with lma_step's eigvalsh bound.  Each solve adds its solution
+    bytes, the reprs of its success probability and fidelity proxy, and its
+    sorted register distribution."""
+    digest = hashlib.sha256()
+    for seed in range(1, 9):
+        scene = generate_problem(seed).initial
+        r, jac = residuals_and_jacobian(scene, scene.initial_params())
+        for lam1 in (1e-2, 1e-5):
+            problem = hhl_system(build_normal_equations(r, jac, lam1, 0.01, m_c=scene.n_camera_params))
+            config = HhlConfig(n_phase_qubits=m, lambda_bound=_hhl_lambda_bound(problem.matrix, m))
+            got = hhl_solve(problem, config)
+            digest.update(got.solution.tobytes())
+            digest.update(repr((got.success_probability, got.fidelity_proxy)).encode())
+            digest.update(repr(sorted(got.register_distribution.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+def test_lm_step_solves_match_pinned_digests(m):
+    core = openblas_core()
+    digests = _LM_SOLVE_DIGESTS.get(core)
+    assert digests is not None, f"no digests recorded for OpenBLAS core {core}"
+    assert _lm_solve_digest(m) == digests[m]

@@ -334,3 +334,95 @@ def test_repeated_control_pattern_is_applied_twice():
     assert result.tobytes() == expected.tobytes()
     # the pattern (1, 0, 1) turned by 0.3 then 0.7: one rotation by 1.0
     assert np.allclose(result, apply_gate(apply_gate(state, rotations[1]), cry(1.0, 3, (0, 1, 2), (1, 0, 1))).amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# the in-place pass kernel against the per-gate mask kernel
+# ---------------------------------------------------------------------------
+
+@st.composite
+def circuit_ops(draw, n):
+    """One op of any kind on n qubits, with the diagonal (theta = 0) rotations
+    and the flips whose zero and unit coefficients the kernel skips."""
+    kinds = ["x", "h", "u", "diagonal-u", "cry"] + (["cx", "cu", "diagonal-cu"] if n > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    target = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([q for q in range(n) if q != target]))
+    polarity = draw(st.integers(0, 1))
+    phases = draw(st.tuples(angles, angles, st.sampled_from([0.0]) | angles))
+    if kind == "x":
+        return x(target)
+    if kind == "h":
+        return h(target)
+    if kind == "u":
+        return u(target, *draw(st.tuples(angles, angles, angles, angles)))
+    if kind == "diagonal-u":
+        return u(target, 0.0, *phases)
+    if kind == "cx":
+        return cx(others[0], target, polarity)
+    if kind == "cu":
+        return cu(others[0], target, *draw(st.tuples(angles, angles, angles, angles)), control_state=polarity)
+    if kind == "diagonal-cu":
+        return cu(others[0], target, 0.0, *phases, control_state=polarity)
+    n_ctrl = draw(st.integers(0, len(others)))
+    states = tuple(draw(st.lists(st.integers(0, 1), min_size=n_ctrl, max_size=n_ctrl)))
+    return cry(draw(angles), target, tuple(others[:n_ctrl]), states)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 6))
+    return Circuit(n, tuple(draw(st.lists(circuit_ops(n), min_size=1, max_size=15))))
+
+
+def per_gate(amps, circuit):
+    for op in circuit.ops:
+        amps = mask_kernel(amps, op)
+    return amps
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+@example(circuit=Circuit(2, (x(0), cx(0, 1), cu(0, 1, 0.0, 0.0, 0.0, 0.7), u(1, 0.0, 0.0, 0.0, 0.0))), seed=0)
+def test_apply_circuit_bit_identical_to_mask_kernel(circuit, seed):
+    """On a state with no zero component, skipping a term whose coefficient is
+    exactly zero, or a multiply by exactly one, changes no bit."""
+    state = seeded_state(circuit.n_qubits, seed)
+    expected = per_gate(state.amplitudes, circuit)
+    assert apply_circuit(state, circuit).amplitudes.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1), st.data())
+def test_apply_circuit_equals_mask_kernel_on_states_with_exact_zeros(circuit, seed, data):
+    """On basis states and zero-extended states, where some components are
+    exactly zero, the values agree but the sign of a zero may not: the dense
+    arithmetic adds a signed zero product (0 * a, or the -0 of (1+0j) * a)
+    that a skipped term never makes, so np.array_equal (where -0 == +0)
+    stands in for the byte comparison."""
+    n = circuit.n_qubits
+    if data.draw(st.booleans()):
+        state = StateVector.basis(n, data.draw(st.integers(0, 2**n - 1)))
+    else:
+        low = seeded_state(data.draw(st.integers(0, n)), seed)
+        amps = np.zeros(2**n, dtype=complex)
+        amps[: low.amplitudes.size] = low.amplitudes
+        state = StateVector(n, amps)
+    assert np.array_equal(apply_circuit(state, circuit).amplitudes, per_gate(state.amplitudes, circuit))
+
+
+def test_apply_gate_and_apply_circuit_leave_the_input_state_unwritten():
+    ops = (h(0), x(1), cx(0, 2), cu(1, 0, 0.0, 0.0, 0.4), u(2, 0.3, 0.1, -0.2, 0.4), cry(0.5, 1, (0, 2), (0, 1)))
+    state = seeded_state(3, 9)
+    before = state.amplitudes.tobytes()
+    for op in ops:
+        apply_gate(state, op)
+    apply_circuit(state, Circuit(3, ops))
+    assert state.amplitudes.tobytes() == before
+    frozen = state.amplitudes.copy()
+    frozen.flags.writeable = False
+    read_only = StateVector(3, frozen)
+    expected = per_gate(frozen, Circuit(3, ops))
+    assert apply_circuit(read_only, Circuit(3, ops)).amplitudes.tobytes() == expected.tobytes()
+    assert apply_gate(read_only, ops[2]).amplitudes.tobytes() == mask_kernel(frozen, ops[2]).tobytes()
+    assert frozen.tobytes() == before
