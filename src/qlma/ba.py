@@ -25,6 +25,7 @@ from . import jets
 SMALL_ANGLE_SQ = 1e-8
 CAMERA_RADIUS = 2.8  # generated cameras sit on this circle around the origin
 CAMERA_SEPARATION_DEG = 8.0  # angle between the two generated cameras, seen from the origin
+NOISE_TARGETS = ("points3d", "keypoints")  # what generate_problem jitters
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +385,7 @@ def generate_problem(
     and its orientation by a random-axis rotation of up to
     +-camera_rotation_noise times the nominal view angle.
     """
-    if noise_on not in ("points3d", "keypoints"):
+    if noise_on not in NOISE_TARGETS:
         raise ValueError("noise_on must be 'points3d' or 'keypoints'")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-2.0, 2.0, size=(n_points, 3))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import build_normal_equations, generate_problem, residuals_and_jacobian, save_problem
+from .ba import NOISE_TARGETS, build_normal_equations, generate_problem, residuals_and_jacobian, save_problem
 from .hhl import HhlConfig, hhl_gate_tally
 from .noise import (
     RATE_PRESETS,
@@ -30,6 +30,7 @@ from .noise import (
     success_probability,
 )
 from .optimizer import (
+    BACKEND_KINDS,
     SETUPS,
     ConvergenceTrace,
     LinearBackend,
@@ -39,13 +40,7 @@ from .optimizer import (
 )
 from .svg import write_line_plot
 
-NOISE_TARGETS = ("points3d", "keypoints")
-BACKEND_ALIASES = {
-    "classical": "classical-schur",
-    "classical-schur": "classical-schur",
-    "classical-dense": "classical-dense",
-    "hhl": "hhl",
-}
+BACKEND_ALIASES = {"classical": "classical-schur", **{kind: kind for kind in BACKEND_KINDS}}
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:

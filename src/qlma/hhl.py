@@ -198,8 +198,7 @@ def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
     """Exact amplitude encoding of a real unit vector of length 2**k on the
     data register, qubits 0..k-1.
 
-    |0..0> maps to sum_i rhs_i |i>.  Uniform all-positive vectors become a
-    Hadamard per qubit; anything else becomes a binary tree of
+    |0..0> maps to sum_i rhs_i |i> through a binary tree of
     polarity-controlled Y rotations.
     """
     v = np.asarray(rhs, dtype=float)
@@ -208,9 +207,6 @@ def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
         raise HhlError(f"rhs length {v.size} is not a power of two of at least 2")
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # also rejects NaN
         raise HhlError("rhs must be normalized")
-
-    if np.allclose(v, 1.0 / math.sqrt(2**k), atol=1e-12):
-        return Circuit(k, tuple(h(q) for q in range(k)))
 
     ops: list[GateOp] = []
     _encode_subtree(v, k - 1, [], ops)
@@ -225,16 +221,17 @@ def _encode_subtree(sub: np.ndarray, qubit: int, controls: list[tuple[int, int]]
     if half == 1:
         angle = 2.0 * math.atan2(right[0], left[0])
     else:
-        angle = 2.0 * math.atan2(float(np.linalg.norm(right)), float(np.linalg.norm(left)))
+        left_norm, right_norm = float(np.linalg.norm(left)), float(np.linalg.norm(right))
+        angle = 2.0 * math.atan2(right_norm, left_norm)
     if abs(angle) > 1e-15:
         ctrl_qubits = tuple(c for c, _ in controls)
         ctrl_states = tuple(s for _, s in controls)
         ops.append(cry(angle, qubit, ctrl_qubits, ctrl_states))
     if half == 1:
         return
-    if np.linalg.norm(left) > 0.0:
+    if left_norm > 0.0:
         _encode_subtree(left, qubit - 1, controls + [(qubit, 0)], ops)
-    if np.linalg.norm(right) > 0.0:
+    if right_norm > 0.0:
         _encode_subtree(right, qubit - 1, controls + [(qubit, 1)], ops)
 
 

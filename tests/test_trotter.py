@@ -81,10 +81,28 @@ def test_decomposition_rejects_bad_labels(label):
         HermitianDecomposition(2, ((1.0, label),))
 
 
-@pytest.mark.parametrize("coef", ["1.0", None, 1 + 0j, True], ids=["str", "None", "complex", "bool"])
+@pytest.mark.parametrize(
+    "coef",
+    ["1.0", None, 1 + 0j, True, np.complex128(1.0), np.True_],
+    ids=["str", "None", "complex", "bool", "numpy-complex", "numpy-bool"],
+)
 def test_decomposition_rejects_bad_coefficients(coef):
     with pytest.raises(SimulationError, match="is not a real number"):
         HermitianDecomposition(1, ((coef, "X"),))
+
+
+@pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+def test_decomposition_rejects_non_finite_coefficients(coef):
+    with pytest.raises(SimulationError, match="non-finite coefficient"):
+        HermitianDecomposition(1, ((0.5, "Z"), (coef, "X")))
+
+
+def test_decomposition_accepts_ints_numpy_floats_and_str_subclass_labels():
+    class Label(str):
+        pass
+
+    terms = ((2, "XI"), (np.float64(-0.5), "ZY"), (0.25, Label("IZ")))
+    assert HermitianDecomposition(2, terms).terms == terms
 
 
 def test_decompose_rejects_bad_size():
