@@ -54,7 +54,6 @@ from .trotter import (
     HermitianDecomposition,
     decompose_hermitian,
     inverse_qft_circuit,
-    trotter_circuit,
 )
 
 __version__ = "0.1.0"

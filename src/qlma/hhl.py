@@ -42,11 +42,9 @@ from .sim import (
 from .trotter import (
     HERMITIAN_TOL,
     EvolutionSpec,
-    HermitianDecomposition,
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
-    trotter_circuit,
 )
 
 REACHABLE_TOL = 1e-9  # register values with more weight are treated as reachable
@@ -154,6 +152,8 @@ class HhlConfig:
     def __post_init__(self):
         if self.n_phase_qubits < 1:
             raise HhlError("need at least one phase qubit")
+        if self.slices < 1:
+            raise HhlError("need at least one time slice")
 
 
 @dataclass(frozen=True)
@@ -427,31 +427,42 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
     """Gate tally of the fully unrolled pipeline, computed compositionally.
 
     Counts the state preparation, Hadamards, one controlled evolution per
-    phase qubit (slice gates times slices * 2**j), the inverse transform,
-    the inversion rotations, and the uncompute mirror, without materializing
-    the (possibly huge) op list.
+    phase qubit (slice gates, counted from the Pauli labels, times
+    slices * 2**j), the inverse transform, the inversion rotations, and the
+    uncompute mirror, without materializing the (possibly huge) op list.
     """
     k = problem.n_data_qubits
     m = config.n_phase_qubits
     phase_qubits = list(range(k, k + m))
 
-    dec = decompose_hermitian(problem.matrix)
-    has_identity = any(set(lbl) == {"I"} for _, lbl in dec.terms)
-    acting = HermitianDecomposition(dec.n_qubits, tuple(t for t in dec.terms if set(t[1]) != {"I"}))
-    # the evolution time sets rotation angles only, never gate counts
-    one_slice = trotter_circuit(EvolutionSpec(acting, 1.0, 1), controlled_by=(k, 0))
+    labels = [label for _, label in decompose_hermitian(problem.matrix).terms]
+    # One visit of a term e^{-icsP} whose label has n_X X, n_Y Y and n_Z Z
+    # factors is a basis change and its inverse (2(n_X + n_Y) h, 2 n_Y u),
+    # a parity ladder and its mirror (2(n_X + n_Y + n_Z - 1) cx), and one
+    # controlled Z rotation (cu).  tests/test_hhl.py checks this count against
+    # the gate form in tests/reference.py.
+    visits = {"h": 0, "u": 0, "cx": 0, "cu": 0}  # one visit of each non-identity term
+    for label in labels:
+        n_x, n_y, n_z = (label.count(p) for p in "XYZ")
+        if n_x + n_y + n_z:
+            visits["h"] += 2 * (n_x + n_y)
+            visits["u"] += 2 * n_y
+            visits["cx"] += 2 * (n_x + n_y + n_z - 1)
+            visits["cu"] += 1
     powers = 2 * sum(2**j for j in range(m))  # estimation plus uncompute
+    identity = 2 * m if "I" * k in labels else 0  # the identity term is one phase gate per controlled power
     parts = [  # (one-qubit, two-qubit, per-kind) tallies, each with its multiplicity
         (gate_counts(state_preparation_circuit(problem.rhs)), 1),
         ((2 * m, 0, {"h": 2 * m}), 1),
-        (gate_counts(one_slice), config.slices * powers),
-        # the identity term collapses to one phase gate per controlled power
-        ((2 * m, 0, {"u": 2 * m}) if has_identity else (0, 0, {}), 1),
+        # the order-2 formula that hhl_solve runs visits every term twice per slice
+        ((visits["h"] + visits["u"], visits["cx"] + visits["cu"], visits), 2 * config.slices * powers),
+        ((identity, 0, {"u": identity}), 1),
         (gate_counts(inverse_qft_circuit(phase_qubits)), 2),
         (gate_counts(inversion_rotation_circuit(phase_qubits, k + m, 1.0 / 2**m)), 1),
     ]
     per: dict[str, int] = {}
     for (_, _, kinds), factor in parts:
         for kind, count in kinds.items():
-            per[kind] = per.get(kind, 0) + count * factor
+            if count:  # like gate_counts, report no kind that never occurs
+                per[kind] = per.get(kind, 0) + count * factor
     return sum(p[0] * f for p, f in parts), sum(p[1] * f for p, f in parts), per

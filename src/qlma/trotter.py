@@ -1,10 +1,11 @@
-"""Pauli decomposition, product-formula evolution, and phase estimation.
+"""Pauli decomposition, the product-formula evolution as a dense matrix, and
+the inverse Fourier transform.
 
 Evolution convention: a spec with matrix A and time t implements e^{-iAt}.
-Phase estimation therefore reads the eigenphase of that operator, i.e.
-theta = (-lambda * t / 2pi) mod 1 for an eigenvalue lambda of A.  Callers
-that want theta = +lambda * |t| / 2pi (as the linear solver does) pass a
-negative time.
+Phase estimation over it (the linear solver in qlma.hhl) therefore reads
+the eigenphase of that operator, i.e. theta = (-lambda * t / 2pi) mod 1 for
+an eigenvalue lambda of A.  Callers that want theta = +lambda * |t| / 2pi
+(as the linear solver does) pass a negative time.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from .sim import (
     SimulationError,
     cu,
     cx,
-    dagger,
     h,
     inverse_circuit,
-    u,
 )
 
 PAULI_LABELS = "IXYZ"
@@ -135,8 +134,8 @@ class EvolutionSpec:
 # the full evolution is a matrix power of that slice, so the slice count is
 # essentially free here.  Each slice computes its cos(cs) values, i sin(cs) P
 # rows and flat scatter indices of P's nonzeros once, then writes every term
-# into one reused buffer before the dense product.  The gate form below
-# applies the same term sequence.
+# into one reused buffer before the dense product.  The gate form in
+# tests/reference.py applies the same term sequence.
 # ---------------------------------------------------------------------------
 
 def _slice_sequence(n_terms: int, tau: float, order: int) -> tuple[list[int], float]:
@@ -178,81 +177,7 @@ def evolution_matrix(spec: EvolutionSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gate form.
-# ---------------------------------------------------------------------------
-
-def _rz(target: int, angle: float) -> GateOp:
-    # diag(e^{-ia/2}, e^{+ia/2}), phase-exact via gamma
-    return u(target, 0.0, 0.0, angle, -angle / 2.0)
-
-
-def _crz(control: int, target: int, angle: float) -> GateOp:
-    return cu(control, target, 0.0, 0.0, angle, -angle / 2.0)
-
-
-def _term_gates(coef: float, label: str, tau: float, control: int | None) -> list[GateOp]:
-    """Gates for e^{-i coef tau P}: basis changes, parity ladder, Z rotation.
-
-    Only the central rotation is promoted when `control` is given; the
-    conjugating gates cancel on the inactive branch by themselves.
-    """
-    qubits = [q for q, ch in enumerate(label) if ch != "I"]
-    pre: list[GateOp] = []
-    for q in qubits:
-        ch = label[q]
-        if ch == "X":
-            pre.append(h(q))
-        elif ch == "Y":
-            pre.extend([u(q, 0.0, 0.0, -math.pi / 2.0), h(q)])
-    post = [dagger(op) for op in reversed(pre)]
-    ladder = [cx(qubits[i], qubits[i + 1]) for i in range(len(qubits) - 1)]
-    angle = 2.0 * coef * tau
-    pivot = qubits[-1]
-    rot = _crz(control, pivot, angle) if control is not None else _rz(pivot, angle)
-    return pre + ladder + [rot] + list(reversed(ladder)) + post
-
-
-def trotter_circuit(spec: EvolutionSpec, controlled_by: tuple[int, int] | None = None) -> Circuit:
-    """Product-formula circuit for e^{-iAt}.
-
-    Each slice applies the term exponentials of _slice_sequence, the order
-    slice_matrix multiplies them in.  With controlled_by=(qubit, j)
-    the slice sequence is repeated slices * 2**j times with every rotation
-    promoted onto the control, so the circuit is exactly the controlled
-    2**j-th power of the uncontrolled evolution; identity terms become a
-    single phase gate on the control.
-    """
-    dec = spec.decomposition
-    control = None
-    repeats = spec.slices
-    n_qubits = dec.n_qubits
-    if controlled_by is not None:
-        control, power = controlled_by
-        if control < dec.n_qubits:
-            raise SimulationError("control qubit collides with the data register")
-        repeats *= 2**power
-        n_qubits = control + 1
-    tau = spec.time / spec.slices
-    identity_coef = sum(c for c, lbl in dec.terms if set(lbl) == {"I"})
-    acting = [(c, lbl) for c, lbl in dec.terms if set(lbl) != {"I"}]
-
-    slice_ops: list[GateOp] = []
-    sequence, s = _slice_sequence(len(acting), tau, spec.order)
-    for k in sequence:
-        slice_ops.extend(_term_gates(*acting[k], s, control))
-
-    ops = slice_ops * repeats
-    if identity_coef:
-        phase = -identity_coef * tau * repeats
-        if control is not None:
-            ops.append(u(control, 0.0, 0.0, phase))
-        else:
-            ops.append(u(0, 0.0, 0.0, 0.0, phase))
-    return Circuit(n_qubits, tuple(ops))
-
-
-# ---------------------------------------------------------------------------
-# Fourier transform and phase estimation.
+# Fourier transform.
 # ---------------------------------------------------------------------------
 
 def _qft_circuit(qubits: list[int]) -> Circuit:

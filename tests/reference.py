@@ -1,21 +1,23 @@
 """Reference forms the tests check the package against: gate and circuit
 unitaries, Pauli-string matrices, the sum of a decomposition, a reader for
-trace files, the phase-estimation circuit, the three-qubit textbook
-instance of the linear solver, and the name of the OpenBLAS kernel that the
-pinned digests are recorded per."""
+trace files, the product formula's gate form (the package runs its matrix
+form only), the phase-estimation circuit, the three-qubit textbook instance
+of the linear solver, and the name of the OpenBLAS kernel that the pinned
+digests are recorded per."""
 
 from __future__ import annotations
 
 import csv
 import ctypes
 import glob
+import math
 import os
 
 import numpy as np
 
 from qlma.optimizer import ConvergenceTrace, IterationRecord
-from qlma.sim import Circuit, GateOp, StateVector, apply_gate, cx, h
-from qlma.trotter import EvolutionSpec, HermitianDecomposition, inverse_qft_circuit, trotter_circuit
+from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cu, cx, dagger, h, u
+from qlma.trotter import EvolutionSpec, HermitianDecomposition, _slice_sequence, inverse_qft_circuit
 
 
 def openblas_core() -> str:
@@ -112,6 +114,80 @@ def minimal_hhl_circuit() -> Circuit:
         h(phase),
     )
     return Circuit(3, ops)
+
+
+# ---------------------------------------------------------------------------
+# Gate form of the product formula.
+# ---------------------------------------------------------------------------
+
+def _rz(target: int, angle: float) -> GateOp:
+    # diag(e^{-ia/2}, e^{+ia/2}), phase-exact via gamma
+    return u(target, 0.0, 0.0, angle, -angle / 2.0)
+
+
+def _crz(control: int, target: int, angle: float) -> GateOp:
+    return cu(control, target, 0.0, 0.0, angle, -angle / 2.0)
+
+
+def _term_gates(coef: float, label: str, tau: float, control: int | None) -> list[GateOp]:
+    """Gates for e^{-i coef tau P}: basis changes, parity ladder, Z rotation.
+
+    Only the central rotation is promoted when `control` is given; the
+    conjugating gates cancel on the inactive branch by themselves.
+    """
+    qubits = [q for q, ch in enumerate(label) if ch != "I"]
+    pre: list[GateOp] = []
+    for q in qubits:
+        ch = label[q]
+        if ch == "X":
+            pre.append(h(q))
+        elif ch == "Y":
+            pre.extend([u(q, 0.0, 0.0, -math.pi / 2.0), h(q)])
+    post = [dagger(op) for op in reversed(pre)]
+    ladder = [cx(qubits[i], qubits[i + 1]) for i in range(len(qubits) - 1)]
+    angle = 2.0 * coef * tau
+    pivot = qubits[-1]
+    rot = _crz(control, pivot, angle) if control is not None else _rz(pivot, angle)
+    return pre + ladder + [rot] + list(reversed(ladder)) + post
+
+
+def trotter_circuit(spec: EvolutionSpec, controlled_by: tuple[int, int] | None = None) -> Circuit:
+    """Product-formula circuit for e^{-iAt}.
+
+    Each slice applies the term exponentials of _slice_sequence, the order
+    slice_matrix multiplies them in.  With controlled_by=(qubit, j)
+    the slice sequence is repeated slices * 2**j times with every rotation
+    promoted onto the control, so the circuit is exactly the controlled
+    2**j-th power of the uncontrolled evolution; identity terms become a
+    single phase gate on the control.
+    """
+    dec = spec.decomposition
+    control = None
+    repeats = spec.slices
+    n_qubits = dec.n_qubits
+    if controlled_by is not None:
+        control, power = controlled_by
+        if control < dec.n_qubits:
+            raise SimulationError("control qubit collides with the data register")
+        repeats *= 2**power
+        n_qubits = control + 1
+    tau = spec.time / spec.slices
+    identity_coef = sum(c for c, lbl in dec.terms if set(lbl) == {"I"})
+    acting = [(c, lbl) for c, lbl in dec.terms if set(lbl) != {"I"}]
+
+    slice_ops: list[GateOp] = []
+    sequence, s = _slice_sequence(len(acting), tau, spec.order)
+    for k in sequence:
+        slice_ops.extend(_term_gates(*acting[k], s, control))
+
+    ops = slice_ops * repeats
+    if identity_coef:
+        phase = -identity_coef * tau * repeats
+        if control is not None:
+            ops.append(u(control, 0.0, 0.0, phase))
+        else:
+            ops.append(u(0, 0.0, 0.0, 0.0, phase))
+    return Circuit(n_qubits, tuple(ops))
 
 
 def qpe_circuit(spec: EvolutionSpec, phase_qubits: list[int]) -> Circuit:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qlma
 from qlma.cli import COMPARE_KEYS, RUN_KEYS, RunConfig, main, run_batch, write_summary
 
 from reference import openblas_core
@@ -154,14 +155,37 @@ def test_noise_command_own_counts(capsys):
             "cry=138 cu=690922 cx=4064018 h=3982748 u=1137920",
             "one-qubit=5120668 two-qubit=4755078",
         ),
+        (
+            # two controlled slices, and an inverse transform with no swaps
+            ["--phase-qubits", "1", "--slices", "1"],
+            "cry=12 cu=544 cx=3200 h=3140 u=896",
+            "one-qubit=4036 two-qubit=3756",
+        ),
     ],
-    ids=["default", "m7-s10"],
+    ids=["default", "m7-s10", "m1-s1"],
 )
 def test_noise_own_counts_are_pinned(capsys, flags, tally, totals):
     assert main(["noise", "--own-counts", *flags]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert f"own unrolled tally: {tally}" in lines
     assert f"own totals: {totals}" in lines
+
+
+def test_noise_own_counts_run_without_the_test_references(tmp_path):
+    """The package needs nothing from tests/: a child with only src on its
+    path prints the pinned tally and never loads the reference module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlma.__file__)))
+    script = (
+        "import sys; from qlma.cli import main; code = main(['noise', '--own-counts']); "
+        "print('modules:', *sorted(sys.modules)); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "own unrolled tally: cry=18 cu=190406 cx=1120006 h=1097612 u=313600" in lines
+    assert "reference" not in lines[-1].split()[1:]
 
 
 def test_gen_writes_problem_files(tmp_path):

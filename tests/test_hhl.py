@@ -25,6 +25,7 @@ from qlma.hhl import (
     _hhl_lambda_bound,
     _inversion_table,
     _nearest_unitary,
+    _next_power_of_two,
     _squaring_chain,
     project_solution,
     spectral_bound,
@@ -437,6 +438,15 @@ def test_uncompute_returns_phase_register_to_zero():
     assert register.get(0, 0.0) >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"n_phase_qubits": 0}, "phase qubit"), ({"slices": 0}, "time slice"), ({"slices": -2}, "time slice")],
+)
+def test_config_rejects_no_phase_qubit_or_no_slice(kwargs, message):
+    with pytest.raises(HhlError, match=message):
+        HhlConfig(**kwargs)
+
+
 def test_gate_tally_structure():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(12, 12))
@@ -449,18 +459,25 @@ def test_gate_tally_structure():
     assert two > 1000
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("slices", [1, 2])
 @pytest.mark.parametrize("order", [2])  # the product-formula order hhl_solve uses
-@pytest.mark.parametrize("identity_term", [True, False])
-def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, identity_term):
-    """The compositional tally equals the gate counts of the unrolled
-    pipeline: preparation, phase estimation, inversion and its mirror."""
+@pytest.mark.parametrize(
+    "identity_term, diagonal", [(True, False), (False, False), (False, True)], ids=["True", "False", "diagonal"]
+)
+def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, identity_term, diagonal):
+    """The tally, which counts the slices from the Pauli labels, equals the
+    gate counts of the unrolled pipeline built from the reference gate form:
+    preparation, phase estimation, inversion and its mirror."""
     rng = np.random.default_rng(dim * 100 + m)
     a = rng.normal(size=(dim, dim))
+    matrix = a + a.T
+    if diagonal:
+        # Z-strings only, shifted so that the embedding's padded unit diagonal leaves it traceless
+        matrix = np.diag(np.diag(matrix) - (np.trace(matrix) + _next_power_of_two(dim) - dim) / dim)
     # a dilation is traceless, so its decomposition has no identity term
-    problem = embed_problem(a + a.T, rng.normal(size=dim), force_dilation=not identity_term)
+    problem = embed_problem(matrix, rng.normal(size=dim), force_dilation=not (identity_term or diagonal))
     terms = decompose_hermitian(problem.matrix).terms
     assert any(set(label) == {"I"} for _, label in terms) == identity_term
     config = HhlConfig(n_phase_qubits=m, slices=slices)
@@ -474,7 +491,15 @@ def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, iden
         + inversion_rotation_circuit(phase_qubits, k + m, 2.0**-m).ops
         + inverse_circuit(forward).ops
     )
-    assert hhl_gate_tally(problem, config) == gate_counts(Circuit(k + m + 1, ops))
+    tally = hhl_gate_tally(problem, config)
+    assert tally == gate_counts(Circuit(k + m + 1, ops))
+    if diagonal:
+        # no basis change, so no u at all; on one data qubit no parity ladder,
+        # so the only cx are the inverse transform's swaps
+        assert all(set(label) <= {"I", "Z"} for _, label in terms)
+        assert "u" not in tally[2]
+        if k == 1:
+            assert tally[2].get("cx", 0) == 2 * gate_counts(inverse_qft_circuit(phase_qubits))[2].get("cx", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from qlma.trotter import (
     evolution_matrix,
     inverse_qft_circuit,
     slice_matrix,
-    trotter_circuit,
 )
 
-from reference import circuit_unitary, pauli_string_matrix, qpe_circuit, reconstruct
+from reference import circuit_unitary, pauli_string_matrix, qpe_circuit, reconstruct, trotter_circuit
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
