@@ -14,7 +14,6 @@ import csv
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +151,7 @@ def _run_batch_preserving(config: RunConfig, seeds: tuple[int, ...]) -> tuple[di
     workers = min(config.jobs, len(seeds))
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run needs no process pool
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = [pool.submit(_run_one, (s, config)).result for s in seeds]
         else:

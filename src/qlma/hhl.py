@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .sim import (
     StateVector,
     apply_circuit,
     apply_gate,  # unused here; perfbench's tracer hooks qlma.hhl.apply_gate
+    apply_passes,
     cry,
     gate_counts,
     gate_matrix,
@@ -150,10 +152,17 @@ class HhlConfig:
     lambda_bound: float | None = None
 
     def __post_init__(self):
+        for name in ("n_phase_qubits", "slices"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise HhlError(f"{name} must be an integer, got {value!r}")
         if self.n_phase_qubits < 1:
             raise HhlError("need at least one phase qubit")
         if self.slices < 1:
             raise HhlError("need at least one time slice")
+        bound = self.lambda_bound
+        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, numbers.Real) or not 0 < bound < math.inf):
+            raise HhlError(f"lambda_bound must be None or a finite positive number, got {bound!r}")
 
 
 @dataclass(frozen=True)
@@ -294,24 +303,23 @@ def _squaring_chain(matrix: np.ndarray, count: int) -> list[np.ndarray]:
     return powers
 
 
-def _zero_extend(state: StateVector, n_qubits: int) -> StateVector:
-    """The state on n_qubits with the added high qubits in |0>."""
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[: state.amplitudes.size] = state.amplitudes
-    return StateVector(n_qubits, amps)
+def _renormalize(amps: np.ndarray) -> None:
+    """In place: amps / ||amps|| as a real multiply by 1 / ||amps||.  numpy's
+    complex division by a real r computes (re + im*0) * (1/r), so only the
+    sign of an exact zero can differ from amps / r."""
+    flat = amps.view(float)
+    flat *= 1.0 / np.linalg.norm(amps)
 
 
 @functools.lru_cache(maxsize=16)
-def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit, Circuit, Circuit]:
-    """The Hadamards on the phase qubits and the inverse transform on the
-    estimation register (data and phase qubits), then the transform and the
-    Hadamards on the full register with the ancilla."""
+def _readout_circuits(n_data: int, n_phase: int) -> tuple[tuple[Circuit, ...], Circuit, Circuit, Circuit]:
+    """The Hadamard on each phase qubit q as a circuit on qubits 0..q, the
+    inverse transform on the data and phase qubits, its inverse with the
+    ancilla too, and the Hadamards on the data and phase qubits."""
     phase_qubits, n = list(range(n_data, n_data + n_phase)), n_data + n_phase
-    iqft, hadamards = inverse_qft_circuit(phase_qubits), tuple(h(q) for q in phase_qubits)
-    return (
-        Circuit(n, hadamards), Circuit(n, iqft.ops),
-        Circuit(n + 1, inverse_circuit(iqft).ops), Circuit(n + 1, hadamards),
-    )
+    iqft = inverse_qft_circuit(phase_qubits)  # on qubits 0..n-1
+    grow = tuple(Circuit(q + 1, (h(q),)) for q in phase_qubits)
+    return grow, iqft, Circuit(n + 1, inverse_circuit(iqft).ops), Circuit(n, tuple(h(q) for q in phase_qubits))
 
 
 @functools.lru_cache(maxsize=16)
@@ -330,15 +338,16 @@ def _inversion_table(n_phase: int, constant: float) -> tuple[np.ndarray, np.ndar
 
 
 def _apply_inversion(amps: np.ndarray, n_data: int, n_phase: int, constant: float) -> np.ndarray:
-    """The inversion rotations on the ancilla, one per rotated register
-    value, as one gather on the (ancilla, phase, data) view of the amplitudes."""
+    """The estimation register's amplitudes with the ancilla added in |0>,
+    then the inversion rotations on the ancilla, one per rotated register
+    value, as one gather on the (ancilla, phase, data) view."""
     values, mats = _inversion_table(n_phase, constant)
-    out = amps.copy()
-    shape = (2, 2**n_phase, 2**n_data)
-    src, dst = amps.reshape(shape), out.reshape(shape)
-    a0, a1 = src[0, values], src[1, values]
-    dst[0, values] = mats[..., 0, 0] * a0 + mats[..., 0, 1] * a1
-    dst[1, values] = mats[..., 1, 0] * a0 + mats[..., 1, 1] * a1
+    out = np.zeros(2 * amps.size, dtype=complex)
+    out[: amps.size] = amps
+    t = out.reshape(2, 2**n_phase, 2**n_data)
+    a0, a1 = t[0, values], t[1, values]  # gathers copy, so t can be written in place
+    t[0, values] = mats[..., 0, 0] * a0 + mats[..., 0, 1] * a1
+    t[1, values] = mats[..., 1, 0] * a0 + mats[..., 1, 1] * a1
     return out
 
 
@@ -364,19 +373,19 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     time = -math.pi / bound
     spec = EvolutionSpec(decompose_hermitian(problem.matrix), time, config.slices)
 
-    # The ancilla stays |0> until the inversion, so the state preparation,
-    # the Hadamards, the inverse transform and the readout run without it.
-    # The controlled powers keep all n qubits: on the k+m register a
-    # one-phase-qubit power would multiply a single row, and numpy's
-    # matrix-vector product rounds differently from its matrix product.
-    hadamards, iqft, iqft_dag, hadamards_dag = _readout_circuits(k, m)
-    state = apply_circuit(StateVector.zero(k), state_preparation_circuit(problem.rhs))
-    state = apply_circuit(_zero_extend(state, k + m), hadamards)
-    amps = _zero_extend(state, n).amplitudes
+    # The ancilla stays |0> until the inversion, so the state preparation, the
+    # inverse transform and the readout run without it; the Hadamard on phase
+    # qubit q runs on qubits 0..q.  The powers keep the all-zero ancilla rows:
+    # Haswell's zgemm rounds a row by the row count, and one row is a gemv.
+    grow_hadamards, iqft, iqft_dag, hadamards = _readout_circuits(k, m)
+    amps = np.zeros(2**n, dtype=complex)
+    amps[: 2**k] = apply_circuit(StateVector.zero(k), state_preparation_circuit(problem.rhs)).amplitudes
+    for circuit in grow_hadamards:
+        apply_passes(amps[: 2**circuit.n_qubits], circuit)
     step = _nearest_unitary(evolution_matrix(spec))
     for q, power in zip(phase_qubits, _squaring_chain(step, m)):
         _apply_controlled_block(amps, power, k, q)
-        amps /= np.linalg.norm(amps)  # absorb float drift of the powers
+        _renormalize(amps)  # absorb float drift of the powers
     state = apply_circuit(StateVector(k + m, amps[: 2 ** (k + m)]), iqft)
 
     # C is the smallest reachable nonzero |eigenphase|, which maximizes the
@@ -387,18 +396,17 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     if not reachable_nonzero:
         raise HhlError("phase register resolves only the zero eigenvalue bin")
     constant = min(abs(bin_phase(v, m)) for v in reachable_nonzero)
-    state = StateVector(n, _apply_inversion(_zero_extend(state, n).amplitudes, k, m, constant))
+    state = StateVector(n, _apply_inversion(state.amplitudes, k, m, constant))
 
-    # The uncompute keeps all n qubits: each controlled power renormalizes
-    # by the norm of both ancilla branches together.
+    # The uncompute keeps all n qubits: each controlled power renormalizes by
+    # the norm of both ancilla branches.  The last Hadamards run only on the
+    # ancilla = 1 half, which the post-selection reads and is not unit-norm.
     amps = apply_circuit(state, iqft_dag).amplitudes
-    dag_powers = _squaring_chain(step.conj().T, m)
-    for q, power in reversed(list(zip(phase_qubits, dag_powers))):
+    for q, power in reversed(list(zip(phase_qubits, _squaring_chain(step.conj().T, m)))):
         _apply_controlled_block(amps, power, k, q)
-        amps /= np.linalg.norm(amps)
-    state = apply_circuit(StateVector(n, amps), hadamards_dag)
-
-    selected = state.amplitudes[2 ** (k + m) :]
+        _renormalize(amps)
+    selected = amps[2 ** (k + m) :]
+    apply_passes(selected, hadamards)
     success = float(np.sum(np.abs(selected) ** 2))
     if success < 1e-12:
         raise HhlError(f"post-selection probability {success} below threshold")

@@ -192,13 +192,13 @@ class Circuit:
 
     @functools.cached_property
     def _passes(self) -> tuple[tuple, ...]:
-        """apply_circuit's (i0, i1, read-only 2x2 matrix) per op (_pair_views),
-        computed once, so a circuit applied again costs no per-op Python work."""
+        """apply_passes' (i0, i1, rows) per op: the views of _pair_views and, per
+        output row, its nonzero terms as (half, coefficient), None for exactly
+        one; computed once, so a circuit applied again costs no per-op work."""
         passes = []
         for op in self.ops:
-            mat = gate_matrix(op).copy()
-            mat.flags.writeable = False
-            passes.append((*_pair_views(self.n_qubits, op), mat))
+            rows = tuple(tuple((j, None if c == 1 else c) for j, c in enumerate(r) if c != 0) for r in gate_matrix(op).tolist())
+            passes.append((*_pair_views(self.n_qubits, op), rows))
         return tuple(passes)
 
 
@@ -255,40 +255,42 @@ def _pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[sli
     return i0, tuple(sel)
 
 
-def _apply_pass(amps: np.ndarray, n_qubits: int, i0, i1, mat: np.ndarray) -> None:
-    """In place: amps[i0] = m00*a0 + m01*a1 and amps[i1] = m10*a0 + m11*a1,
-    a0 and a1 the views i0, i1 of the (2,)*n tensor, both read before either
-    is written.  Exactly zero terms are left out and exactly unit coefficients
-    multiply nothing, so a controlled phase writes only m11*a1 and a flip only
-    swaps the halves; only the sign of an exactly zero component can differ
-    from the dense arithmetic."""
-    t = amps.reshape((2,) * n_qubits)
-    halves = t[i0], t[i1]
-    rows = []
-    for coeffs in mat.tolist():
-        terms = [a if c == 1 else c * a for c, a in zip(coeffs, halves) if c != 0]
-        rows.append(terms[0] + terms[1] if len(terms) == 2 else terms[0])
-    if rows[1] is halves[0]:  # a flip's second row views the half its first row overwrites
-        rows[1] = rows[1].copy()
-    for index, row, half in zip((i0, i1), rows, halves):
-        if row is not half:
-            t[index] = row
-
-
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate: a one-op apply_circuit."""
     return apply_circuit(state, Circuit(state.n_qubits, (op,)))
 
 
+def apply_passes(amps: np.ndarray, circuit: Circuit) -> None:
+    """In place: the circuit's passes in order on a C-contiguous array of its
+    2**n amplitudes, which may be a view into a larger buffer; checks no norm.
+    A pass sets its op's halves i0 and i1 of the (2,)*n tensor to their rows'
+    sums of coefficient * half, reading both halves before writing either.
+    Exactly zero terms are left out and exactly unit coefficients multiply
+    nothing, so a controlled phase writes only m11*a1 and a flip only swaps
+    the halves; only the sign of an exactly zero component can differ from
+    the dense arithmetic."""
+    t = amps.reshape((2,) * circuit.n_qubits)
+    for i0, i1, rows in circuit._passes:
+        halves = t[i0], t[i1]
+        new = []
+        for terms in rows:
+            parts = [halves[j] if c is None else c * halves[j] for j, c in terms]
+            new.append(parts[0] + parts[1] if len(parts) == 2 else parts[0])
+        if new[1] is halves[0]:  # a flip's second row views the half its first row overwrites
+            new[1] = new[1].copy()
+        for half, row in zip(halves, new):
+            if row is not half:
+                half[...] = row
+
+
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the ops in order, one in-place pass per op (Circuit._passes) on
-    one copy of the amplitudes; the norm is checked once, on the final state."""
+    """Apply the ops in order with apply_passes on one copy of the
+    amplitudes; the norm is checked once, on the final state."""
     n = state.n_qubits
     if circuit.n_qubits != n:
         raise SimulationError(f"circuit on {circuit.n_qubits} qubits applied to {n}-qubit state")
     amps = state.amplitudes.copy()
-    for i0, i1, mat in circuit._passes:
-        _apply_pass(amps, n, i0, i1, mat)
+    apply_passes(amps, circuit)
     return StateVector(n, amps)
 
 

@@ -37,18 +37,19 @@ def _pauli_table(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray
     """All 4**n Pauli strings as signed permutations.
 
     String a carries PAULI_LABELS[(a >> 2q) & 3] on qubit q.  Its matrix has
-    one nonzero per row i, at column cols[a, i] = i ^ xmask, with value
-    phases[a, i] = (-i)**#Y * (-1)**popcount(i & (ymask | zmask)).
+    one nonzero per row i, at column i ^ xmask, with value
+    phases[a, i] = (-i)**#Y * (-1)**popcount(i & (ymask | zmask)), which
+    tr(P @ M) multiplies by M.flat[gather[a, i]] = M[i ^ xmask, i].
     """
     kinds = (np.arange(4**n_qubits)[:, None] >> 2 * np.arange(n_qubits)) & 3  # (4**n, n): I X Y Z
     labels = tuple(map("".join, np.array(list(PAULI_LABELS))[kinds].tolist()))
     rows = np.arange(2**n_qubits)
     xmask = ((kinds == 1) | (kinds == 2)) @ (1 << np.arange(n_qubits))
-    cols = rows ^ xmask[:, None]
+    gather = (rows ^ xmask[:, None]) << n_qubits | rows
     parity = ((kinds >= 2) @ ((rows >> np.arange(n_qubits)[:, None]) & 1)) & 1
     phases = np.array([1, -1j, -1, 1j])[np.sum(kinds == 2, axis=1) % 4, None] * (1 - 2 * parity)
-    cols.flags.writeable = phases.flags.writeable = False  # shared by every caller
-    return labels, cols, phases
+    gather.flags.writeable = phases.flags.writeable = False  # shared by every caller
+    return labels, gather, phases
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,11 +98,11 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
         raise SimulationError("matrix is not Hermitian")
-    labels, cols, phases = _pauli_table(n_qubits)
+    labels, gather, phases = _pauli_table(n_qubits)
     # tr(P @ M) = sum_i P[i, i^x] * M[i^x, i].  Rows are added one at a time
     # in increasing order: the order fixes the coefficients' last bits, which
     # the term order and every trace depend on (tests/test_trotter.py).
-    products = phases * m[cols, np.arange(dim)]
+    products = phases * m.take(gather)
     coeffs = functools.reduce(np.add, products.T, np.zeros(4**n_qubits, dtype=complex)) / dim
     if np.max(np.abs(coeffs.imag)) > HERMITIAN_TOL * scale:
         raise SimulationError("non-real Pauli coefficients")
@@ -152,12 +153,12 @@ def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
     n, terms = spec.decomposition.n_qubits, spec.decomposition.terms
     dim = 2**n
     sequence, s = _slice_sequence(len(terms), spec.time / spec.slices, spec.order)
-    _, cols, phases = _pauli_table(n)
+    _, gather, phases = _pauli_table(n)
     index = _pauli_index(n)
     table_rows = [index[label] for _, label in terms]
     cosines = [math.cos(coef * s) for coef, _ in terms]
     sines = np.array([1j * math.sin(coef * s) for coef, _ in terms]).reshape(-1, 1) * phases[table_rows]
-    scatter = np.arange(0, dim * dim, dim) + cols[table_rows]  # flat (row, col) of P's nonzeros
+    scatter = np.arange(0, dim * dim, dim) + (gather[table_rows] >> n)  # flat (row, col) of P's nonzeros
     eye = np.eye(dim, dtype=complex)
     term = np.empty_like(eye)
     flat = term.reshape(-1)

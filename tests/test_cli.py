@@ -225,8 +225,6 @@ def test_parallel_jobs_match_serial(tmp_path):
 
 @pytest.mark.parametrize("seeds, workers", [("1,2,3", [3]), ("1", [])])
 def test_jobs_pool_has_at_most_one_worker_per_seed(tmp_path, monkeypatch, seeds, workers):
-    import qlma.cli as cli
-
     made = []
 
     class InlineExecutor:
@@ -246,11 +244,25 @@ def test_jobs_pool_has_at_most_one_worker_per_seed(tmp_path, monkeypatch, seeds,
             future.set_result(fn(arg))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)  # cli imports it per pooled run
     out = tmp_path / "run"
     assert main(["run", "--seeds", seeds, "--iters", "1", "--backend", "classical", "--jobs", "5000", "--out", str(out)]) == 0
     assert made == workers
     assert len(list(out.glob("trace_seed*.csv"))) == len(seeds.split(","))
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a run with --jobs > 1 imports the process pool and the
+    multiprocessing machinery behind it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlma.__file__)))
+    script = "import sys, qlma.cli; print(*sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "qlma.cli" in loaded
+    assert "concurrent.futures.process" not in loaded and "multiprocessing" not in loaded
 
 
 def test_run_preserves_partial_outputs_on_failure(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -6,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qlma.hhl
@@ -26,6 +27,8 @@ from qlma.hhl import (
     _inversion_table,
     _nearest_unitary,
     _next_power_of_two,
+    _readout_circuits,
+    _renormalize,
     _squaring_chain,
     project_solution,
     spectral_bound,
@@ -37,6 +40,7 @@ from qlma.sim import (
     StateVector,
     apply_circuit,
     apply_gate,
+    apply_passes,
     gate_counts,
     gate_matrix,
     h,
@@ -447,6 +451,22 @@ def test_config_rejects_no_phase_qubit_or_no_slice(kwargs, message):
         HhlConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_phase_qubits", 2.0), ("n_phase_qubits", True), ("slices", 2.5), ("slices", False),
+        ("lambda_bound", math.nan), ("lambda_bound", math.inf), ("lambda_bound", 0.0),
+        ("lambda_bound", -1.0), ("lambda_bound", True), ("lambda_bound", "1.0"),
+    ],
+)
+def test_config_rejects_a_mistyped_or_non_finite_field_by_name(field, value):
+    with pytest.raises(HhlError, match=field):
+        HhlConfig(**{field: value})
+    # lma_step fills in the bound with dataclasses.replace, which runs the same check
+    with pytest.raises(HhlError, match=field):
+        dataclasses.replace(HhlConfig(), **{field: value})
+
+
 def test_gate_tally_structure():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(12, 12))
@@ -500,6 +520,54 @@ def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, iden
         assert "u" not in tally[2]
         if k == 1:
             assert tally[2].get("cx", 0) == 2 * gate_counts(inverse_qft_circuit(phase_qubits))[2].get("cx", 0)
+
+
+# ---------------------------------------------------------------------------
+# the solver's register kernels against their full-register forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_grown_hadamard_layer_bytes_equal_the_full_layer(k):
+    """hhl_solve's first Hadamards, each on the buffer's prefix up to its
+    phase qubit, give the bytes of the Hadamard layer on the zero-extended
+    state, signed zeros included, and leave the rest of the buffer zero."""
+    rng = np.random.default_rng(k)
+    data = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+    data /= np.linalg.norm(data)
+    data.real[rng.random(2**k) < 0.3] = rng.choice([0.0, -0.0])
+    data.imag[rng.random(2**k) < 0.3] = -0.0
+    data /= np.linalg.norm(data)
+    for m in range(1, 8):
+        grow_hadamards, _, _, hadamards = _readout_circuits(k, m)
+        amps = np.zeros(2 ** (k + m + 1), dtype=complex)
+        amps[: 2**k] = data
+        for circuit in grow_hadamards:
+            apply_passes(amps[: 2**circuit.n_qubits], circuit)
+        extended = np.zeros(2 ** (k + m), dtype=complex)
+        extended[: 2**k] = data
+        full = apply_circuit(StateVector(k + m, extended), hadamards).amplitudes
+        assert amps[: 2 ** (k + m)].tobytes() == full.tobytes()
+        assert amps[2 ** (k + m) :].tobytes() == bytes(16 * 2 ** (k + m))
+
+
+_components = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(_components, min_size=2 ** (n + 1), max_size=2 ** (n + 1))))
+def test_renormalize_keeps_the_bits_of_the_division(parts):
+    """_renormalize multiplies by 1 / norm; numpy's complex division by the
+    norm gives every nonzero component the same bits, and zeros stay zero."""
+    amps = np.array(parts).view(complex)
+    norm = np.linalg.norm(amps)
+    assume(norm > 0.0)
+    expected = (amps / norm).view(float)
+    got = amps.copy()
+    _renormalize(got)
+    got = got.view(float)
+    nonzero = expected != 0.0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+    assert np.all(got[~nonzero] == 0.0)
 
 
 # ---------------------------------------------------------------------------

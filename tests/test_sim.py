@@ -309,17 +309,24 @@ def test_circuit_passes_are_computed_once_and_read_only():
     passes = circuit._passes
     assert apply_circuit(state, circuit).amplitudes.tobytes() == first.tobytes() == expected.tobytes()
     assert circuit._passes is passes and len(passes) == 5  # one pass per op
-    for i0, i1, coeffs in passes:
-        assert not coeffs.flags.writeable
-        with pytest.raises(ValueError):
-            coeffs[..., 0, 0] = 0.0
+    for op, (i0, i1, rows) in zip(ops, passes):
+        hash(rows)  # nested tuples of numbers and None only: nothing in a pass can be written
+        # each row lists the matrix row's nonzero entries, None standing for exactly one
+        dense = np.zeros((2, 2), dtype=complex)
+        for r, terms in enumerate(rows):
+            assert terms and all(c is None or (type(c) is complex and c not in (0, 1)) for _, c in terms)
+            for j, c in terms:
+                dense[r, j] = 1 if c is None else c
+        assert np.array_equal(dense, gate_matrix(op))
+    assert passes[4][2] == (((1, None),), ((0, None),))  # a flip: each half is the other
 
 
 def test_norm_change_in_any_pass_fails_the_final_check():
     # the norm is checked once per circuit; a later unitary pass keeps a lost norm lost
     circuit = Circuit(2, (h(0), h(1)))
-    i0, i1, mat = circuit._passes[0]
-    circuit.__dict__["_passes"] = ((i0, i1, 1.5 * mat), circuit._passes[1])
+    i0, i1, rows = circuit._passes[0]
+    scaled = tuple(tuple((j, 1.5 * (1 if c is None else c)) for j, c in terms) for terms in rows)
+    circuit.__dict__["_passes"] = ((i0, i1, scaled), circuit._passes[1])
     with pytest.raises(SimulationError, match="norm"):
         apply_circuit(StateVector.zero(2), circuit)
 
