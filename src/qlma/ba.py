@@ -87,20 +87,10 @@ def quat_angle(q) -> float:
 
 
 def _rotation_to_quat(r: np.ndarray) -> np.ndarray:
-    w = math.sqrt(max(0.0, 1.0 + r[0, 0] + r[1, 1] + r[2, 2])) / 2.0
-    if w > 1e-6:
-        q = np.array(
-            [w, (r[2, 1] - r[1, 2]) / (4 * w), (r[0, 2] - r[2, 0]) / (4 * w), (r[1, 0] - r[0, 1]) / (4 * w)]
-        )
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(1e-12, 1.0 + r[i, i] - r[j, j] - r[k, k])) * 2.0
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = s / 4.0
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
+    # The trace formula alone suffices: _look_at's cameras sit at y = 2.8 sin(86°) > 2, beyond
+    # any centroid of [-2, 2]^3, so f_y < 0, r_x > 0 and 1 + trace = (1 + f_z)(1 + r_x) > 0.07: w > 0.13.
+    w = math.sqrt(1.0 + r[0, 0] + r[1, 1] + r[2, 2]) / 2.0
+    q = np.array([w, (r[2, 1] - r[1, 2]) / (4 * w), (r[0, 2] - r[2, 0]) / (4 * w), (r[1, 0] - r[0, 1]) / (4 * w)])
     return q / _norm(q)
 
 

@@ -111,10 +111,8 @@ class RunConfig:
 
 
 def _offset_seeds(seeds) -> tuple[int, ...]:
-    """The seeds shifted by QLMA_SEED_OFFSET; there must be at least one,
-    and each must be non-negative and appear once."""
-    if not seeds:
-        raise InputError("need at least one seed")
+    """The seeds shifted by QLMA_SEED_OFFSET; each must be non-negative and
+    appear once.  RunConfig has already rejected an empty list."""
     text = os.environ.get("QLMA_SEED_OFFSET", "0")
     try:
         offset = int(text)

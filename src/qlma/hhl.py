@@ -76,10 +76,15 @@ class HermitianProblem:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
+        b = np.asarray(self.rhs, dtype=float)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+        object.__setattr__(self, "rhs", b)
         if not np.all(np.isfinite(m)):
             raise HhlError("embedded matrix has non-finite entries")
+        if not np.all(np.isfinite(b)):
+            raise HhlError("embedded rhs has non-finite entries")
+        if b.shape != m.shape[:1]:
+            raise HhlError(f"embedded rhs of shape {b.shape} does not match the {m.shape[0]}-row matrix")
         if np.max(np.abs(m - m.T)) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise HhlError("embedded matrix is not Hermitian")
 
@@ -112,6 +117,10 @@ def embed_problem(matrix: np.ndarray, rhs: np.ndarray, force_dilation: bool = Fa
         raise HhlError("matrix must be square")
     if b.shape != (m.shape[0],):
         raise HhlError("rhs length does not match the matrix")
+    if not np.all(np.isfinite(m)):
+        raise HhlError("matrix has non-finite entries")
+    if not np.all(np.isfinite(b)):
+        raise HhlError("rhs has non-finite entries")
     norm = float(np.linalg.norm(b))
     if norm == 0.0:
         raise HhlError("rhs is zero")
@@ -436,8 +445,9 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
 
     Counts the state preparation, Hadamards, one controlled evolution per
     phase qubit (slice gates, counted from the Pauli labels, times
-    slices * 2**j), the inverse transform, the inversion rotations, and the
-    uncompute mirror, without materializing the (possibly huge) op list.
+    slices * 2**j), the inverse transform, the inversion rotations (one per
+    nonzero register value, counted from the register size), and the uncompute
+    mirror, without materializing the (possibly huge) op list.
     """
     k = problem.n_data_qubits
     m = config.n_phase_qubits
@@ -466,7 +476,8 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
         ((visits["h"] + visits["u"], visits["cx"] + visits["cu"], visits), 2 * config.slices * powers),
         ((identity, 0, {"u": identity}), 1),
         (gate_counts(inverse_qft_circuit(phase_qubits)), 2),
-        (gate_counts(inversion_rotation_circuit(phase_qubits, k + m, 1.0 / 2**m)), 1),
+        # with C = 2**-m every nonzero register value gets its one controlled rotation
+        ((0, 2**m - 1, {"cry": 2**m - 1}), 1),
     ]
     per: dict[str, int] = {}
     for (_, _, kinds), factor in parts:

@@ -5,12 +5,12 @@ least-significant bit of the amplitude index, so the basis state
 |q_{n-1} ... q_1 q_0> lives at index sum(q_k * 2**k).
 
 Gate kinds:
-    "x"    Pauli flip.
     "h"    Hadamard.
     "u"    general single-qubit rotation U(theta, phi, lam) with an extra
            explicit phase parameter gamma, so diagonal rotations such as
            e^{-i a Z/2} are representable exactly (not just up to phase).
-    "cx"   singly-controlled flip; the control may trigger on |0> or |1>.
+    "cx"   singly-controlled Pauli flip, the only flip (no builder needs an
+           uncontrolled one); the control may trigger on |0> or |1>.
     "cu"   singly-controlled "u"; gamma becomes a relative phase.
     "cry"  Y-rotation with any number of polarity controls (zero controls is
            a plain RY).  Carries the eigenvalue-inversion rotations and
@@ -29,15 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GATE_X = "x"
 GATE_H = "h"
 GATE_U = "u"
 GATE_CX = "cx"
 GATE_CU = "cu"
 GATE_CRY = "cry"
 
-_KINDS = (GATE_X, GATE_H, GATE_U, GATE_CX, GATE_CU, GATE_CRY)
-_N_PARAMS = {GATE_X: 0, GATE_H: 0, GATE_U: 4, GATE_CX: 0, GATE_CU: 4, GATE_CRY: 1}
+_KINDS = (GATE_H, GATE_U, GATE_CX, GATE_CU, GATE_CRY)
+_N_PARAMS = {GATE_H: 0, GATE_U: 4, GATE_CX: 0, GATE_CU: 4, GATE_CRY: 1}
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
@@ -78,7 +77,7 @@ class GateOp:
         if any(s not in (0, 1) for s in self.control_states):
             raise SimulationError("control states must be 0 or 1")
         n_ctrl = len(self.controls)
-        if self.kind in (GATE_X, GATE_H, GATE_U) and n_ctrl:
+        if self.kind in (GATE_H, GATE_U) and n_ctrl:
             raise SimulationError(f"{self.kind} takes no controls")
         if self.kind in (GATE_CX, GATE_CU) and n_ctrl != 1:
             raise SimulationError(f"{self.kind} takes exactly one control")
@@ -109,7 +108,7 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 def gate_matrix(op: GateOp) -> np.ndarray:
     """The 2x2 matrix applied to the target on the active control branch."""
-    if op.kind == GATE_X or op.kind == GATE_CX:
+    if op.kind == GATE_CX:
         return _X_MATRIX
     if op.kind == GATE_H:
         return _H_MATRIX
@@ -119,10 +118,6 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 
 
 # Constructors; these keep call sites terse.
-
-def x(target: int) -> GateOp:
-    return GateOp(GATE_X, target)
-
 
 def h(target: int) -> GateOp:
     return GateOp(GATE_H, target)
@@ -165,7 +160,7 @@ def cry(
 
 def dagger(op: GateOp) -> GateOp:
     """Inverse of a single gate op."""
-    if op.kind in (GATE_X, GATE_H, GATE_CX):
+    if op.kind in (GATE_H, GATE_CX):
         return op
     if op.kind in (GATE_U, GATE_CU):
         theta, phi, lam, gamma = op.params
@@ -186,9 +181,6 @@ class Circuit:
             for q in op.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise SimulationError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
     @functools.cached_property
     def _passes(self) -> tuple[tuple, ...]:

@@ -624,6 +624,21 @@ def test_jacobian_row_touching_two_point_blocks_raises():
         build_normal_equations(np.ones(jac.shape[0]), jac, 0.1, 0.0, m_c=12)
 
 
+@pytest.mark.parametrize(
+    "lam1, lam2, m_c, message",
+    [
+        (-0.1, 0.0, 12, "damping parameters must be nonnegative"),
+        (0.1, -1e-9, 12, "damping parameters must be nonnegative"),
+        (0.1, 0.0, 11, "point parameter count is not a multiple of three"),
+    ],
+    ids=["negative-lambda1", "negative-lambda2", "ragged-point-block"],
+)
+def test_normal_equations_reject_bad_damping_or_layout(lam1, lam2, m_c, message):
+    jac = structured_jacobian(np.random.default_rng(5))
+    with pytest.raises(ValueError, match=message):
+        build_normal_equations(np.ones(jac.shape[0]), jac, lam1, lam2, m_c=m_c)
+
+
 def test_singular_point_block_names_its_index():
     jac = structured_jacobian(np.random.default_rng(6), n_pts=3)
     jac[:, 12 + 3 * 2 :] = 0.0  # point 2 is never observed
@@ -689,6 +704,17 @@ def test_generation_redraws_jitter_that_puts_a_point_behind_a_camera(seed):
 
 def test_generation_seeds_differ():
     assert not np.array_equal(generate_problem(1).truth.points, generate_problem(2).truth.points)
+
+
+def test_generation_rejects_an_unknown_noise_target():
+    with pytest.raises(ValueError, match="noise_on must be 'points3d' or 'keypoints'"):
+        generate_problem(1, noise_on="pixels")
+
+
+def test_look_at_rotations_stay_far_from_a_half_turn():
+    # _rotation_to_quat keeps only the trace formula, which needs w well above zero
+    ws = [cam.quaternion[0] for seed in range(50) for n in (1, 2, 10) for cam in generate_problem(seed, n).truth.cameras]
+    assert min(ws) > 0.13
 
 
 def test_point_coordinates_within_noise_bounds():
@@ -823,6 +849,13 @@ def test_load_problem_names_line_of_short_record(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"problem.txt:{number}: init_camera record needs 11 fields, got 10"):
         load_problem(path)
+def test_load_problem_names_line_of_unknown_record(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines + ["pixel 0 1.0 2.0"]) + "\n")
+    with pytest.raises(ValueError, match=f"problem.txt:{len(lines) + 1}: unknown record 'pixel'"):
+        load_problem(path)
+
+
 @pytest.mark.parametrize("prefix", ["seed ", "point 0 ", "obs 0 0 ", "init_camera 1 "])
 def test_load_problem_rejects_repeated_record(tmp_path, prefix):
     path, lines = _saved_lines(tmp_path)

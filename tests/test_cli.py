@@ -99,6 +99,29 @@ def test_compare_writes_overlays(tmp_path):
         assert (out / f"compare_seed{seed}.svg").exists()
 
 
+def _fail_seed_2(monkeypatch):
+    """Make the solve of seed 2 raise, as a solver abort would."""
+    import qlma.cli as cli
+
+    real = cli._run_one
+
+    def flaky(job):
+        if job[0] == 2:
+            raise RuntimeError("synthetic solver abort")
+        return real(job)
+
+    monkeypatch.setattr(cli, "_run_one", flaky)
+
+
+def test_compare_failure_writes_no_overlay(tmp_path, monkeypatch, capsys):
+    _fail_seed_2(monkeypatch)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--seeds", "1,2", "--backend", "classical", "--iters", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("compare failed:") == 1 and "seed 2: synthetic solver abort" in err
+    assert not list(out.glob("compare_seed*"))
+
+
 def test_compare_identical_configs_identical_columns(tmp_path):
     out = tmp_path / "cmp"
     code = main(
@@ -161,8 +184,14 @@ def test_noise_command_own_counts(capsys):
             "cry=12 cu=544 cx=3200 h=3140 u=896",
             "one-qubit=4036 two-qubit=3756",
         ),
+        (
+            # the 2**16 - 1 inversion rotations are counted, not built
+            ["--phase-qubits", "16", "--slices", "1"],
+            "cry=65546 cu=35651280 cx=209712048 h=205517824 u=58719360",
+            "one-qubit=264237184 two-qubit=245428874",
+        ),
     ],
-    ids=["default", "m7-s10", "m1-s1"],
+    ids=["default", "m7-s10", "m1-s1", "m16-s1"],
 )
 def test_noise_own_counts_are_pinned(capsys, flags, tally, totals):
     assert main(["noise", "--own-counts", *flags]) == 0
@@ -266,16 +295,7 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_run_preserves_partial_outputs_on_failure(tmp_path, monkeypatch):
-    import qlma.cli as cli
-
-    real = cli._run_one
-
-    def flaky(job):
-        if job[0] == 2:
-            raise RuntimeError("synthetic solver abort")
-        return real(job)
-
-    monkeypatch.setattr(cli, "_run_one", flaky)
+    _fail_seed_2(monkeypatch)
     out = tmp_path / "run"
     code = main(["run", "--seeds", "1,2,3", "--iters", "2", "--backend", "classical", "--out", str(out)])
     assert code == 1
@@ -295,16 +315,7 @@ def test_run_config_validation():
 
 
 def test_run_batch_raises_when_a_seed_fails(monkeypatch):
-    import qlma.cli as cli
-
-    real = cli._run_one
-
-    def flaky(job):
-        if job[0] == 2:
-            raise RuntimeError("synthetic solver abort")
-        return real(job)
-
-    monkeypatch.setattr(cli, "_run_one", flaky)
+    _fail_seed_2(monkeypatch)
     with pytest.raises(RuntimeError, match="seed 2: synthetic solver abort"):
         run_batch(RunConfig(seeds=(1, 2), max_iters=1))
 
@@ -321,6 +332,7 @@ def test_run_batch_raises_when_a_seed_fails(monkeypatch):
         ("timing=yes\n", "config key 'timing' has an invalid value 'yes'"),
         ("timing=\n", "config key 'timing' has an invalid value ''"),
         ("seeds=1\nseeds=2,3\n", "qlma.cfg:2: repeated config key 'seeds'"),
+        ("# seeds=4\n\n  # iters=2\nseeds=1\nseeds=2\n", "qlma.cfg:5: repeated config key 'seeds'"),
     ],
 )
 def test_bad_config_file_fails_with_one_line(tmp_path, capsys, text, message):

@@ -150,6 +150,47 @@ def test_hermitian_problem_rejects_non_finite_matrix(bad):
         HermitianProblem(np.array([[1.0, bad], [0.0, 1.0]]), np.array([1.0, 0.0]), 1.0, 2)
 
 
+@pytest.mark.parametrize(
+    "matrix, rhs, message",
+    [
+        (np.eye(2), [math.nan, 1.0], "^rhs has non-finite entries$"),
+        (np.eye(2), [math.inf, 1.0], "^rhs has non-finite entries$"),
+        (np.eye(2), [1.0, -math.inf], "^rhs has non-finite entries$"),
+        ([[1.0, math.inf], [math.inf, 1.0]], [1.0, 0.0], "^matrix has non-finite entries$"),
+        ([[math.nan, 0.0], [0.0, 1.0]], [1.0, 0.0], "^matrix has non-finite entries$"),
+        (np.ones((2, 3)), [1.0, 0.0], "^matrix must be square$"),
+        (np.eye(2), [1.0, 0.0, 0.0], "^rhs length does not match the matrix$"),
+    ],
+    ids=["nan-rhs", "inf-rhs", "minus-inf-rhs", "inf-matrix", "nan-matrix", "non-square", "rhs-length"],
+)
+def test_embed_rejects_input_it_cannot_embed_where_it_enters(matrix, rhs, message):
+    for force_dilation in (False, True):
+        with pytest.raises(HhlError, match=message):
+            embed_problem(np.array(matrix), np.array(rhs), force_dilation=force_dilation)
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs, message",
+    [
+        (np.eye(2), [math.nan, 1.0], "^embedded rhs has non-finite entries$"),
+        (np.eye(2), [math.inf, 0.0], "^embedded rhs has non-finite entries$"),
+        (np.eye(4), [1.0, 0.0], r"^embedded rhs of shape \(2,\) does not match the 4-row matrix$"),
+        (np.eye(2), [[1.0, 0.0]], r"^embedded rhs of shape \(1, 2\) does not match the 2-row matrix$"),
+        ([[1.0, 1.0], [0.0, 1.0]], [1.0, 0.0], "^embedded matrix is not Hermitian$"),
+    ],
+    ids=["nan-rhs", "inf-rhs", "short-rhs", "row-rhs", "non-hermitian"],
+)
+def test_hermitian_problem_rejects_a_bad_field_by_name(matrix, rhs, message):
+    with pytest.raises(HhlError, match=message):
+        HermitianProblem(np.array(matrix), np.array(rhs), 1.0, 2)
+
+
+def test_solve_rejects_a_zero_spectral_bound():
+    # a zero matrix has row-sum bound 0, which sets no evolution time
+    with pytest.raises(HhlError, match="spectral bound must be positive"):
+        hhl_solve(HermitianProblem(np.zeros((2, 2)), np.array([1.0, 0.0]), 1.0, 2))
+
+
 def test_spectral_bound_covers_eigenvalues():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(8, 8))
@@ -223,6 +264,12 @@ def test_preparation_rejects_nan():
         state_preparation_circuit(np.array([math.nan, 1.0]))
 
 
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_preparation_rejects_a_length_that_is_no_power_of_two(size):
+    with pytest.raises(HhlError, match=f"rhs length {size} is not a power of two of at least 2"):
+        state_preparation_circuit(np.full(size, 1.0 / math.sqrt(size)))
+
+
 # ---------------------------------------------------------------------------
 # inversion rotation
 # ---------------------------------------------------------------------------
@@ -283,6 +330,12 @@ def test_inversion_invalid_constant_raises():
     lay = _layout(1)
     with pytest.raises(HhlError):
         inversion_rotation_circuit(lay, 2, 1.0, [None, 0.5])
+
+
+@pytest.mark.parametrize("bins", [[None], [None, 0.5, -0.5]])
+def test_inversion_needs_one_eigenvalue_per_register_value(bins):
+    with pytest.raises(HhlError, match="one eigenvalue entry per register value"):
+        inversion_rotation_circuit(_layout(1), 2, 0.25, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +526,7 @@ def test_gate_tally_structure():
     prob = embed_problem(a + a.T, rng.normal(size=12), force_dilation=True)
     one, two, per = hhl_gate_tally(prob, HhlConfig(slices=50))
     assert one > 0 and two > 0
-    assert set(per) <= {"x", "h", "u", "cx", "cu", "cry"}
+    assert set(per) <= {"h", "u", "cx", "cu", "cry"}
     assert one + two == sum(per.values())
     # fully unrolled product formula dwarfs the composite-instruction tally
     assert two > 1000

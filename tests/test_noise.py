@@ -76,5 +76,7 @@ def test_rate_validation():
         ErrorRates(0.0, -0.1)
     with pytest.raises(ValueError):
         repeated_success(1.2, 3)
+    with pytest.raises(ValueError, match="iterations must be nonnegative"):
+        repeated_success(0.5, -1)
     with pytest.raises(ValueError):
         success_probability((-1, 0), 0, ErrorRates(0.0, 0.0))

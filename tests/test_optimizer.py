@@ -289,6 +289,23 @@ def test_quaternions_stay_normalized_through_updates():
             assert abs(np.linalg.norm(cam.quaternion) - 1.0) < 1e-12
 
 
+def test_non_finite_initial_cost_is_rejected():
+    problem = generate_problem(1)
+    problem.initial.keypoints[0, 0] = math.inf
+    with pytest.raises(ValueError, match="initial cost is not finite: inf"):
+        optimize(problem, SETUP1, LinearBackend("classical-schur"), max_iters=1)
+
+
+def test_optimize_stops_once_the_cost_reaches_zero():
+    # exact points and camera orientations: the positions converge to a
+    # cost at or below ZERO_COST well before the iteration limit
+    problem = generate_problem(4, point_noise=0, camera_position_noise=0.01, camera_rotation_noise=0.0)
+    trace = optimize(problem, SETUP2, LinearBackend("classical-schur"), max_iters=40)
+    last = trace.records[-1]
+    assert len(trace.records) < 40
+    assert last.accepted and last.cost <= opt.ZERO_COST
+
+
 def test_invalid_backend_rejected():
     with pytest.raises(ValueError):
         LinearBackend("quantum-annealer")

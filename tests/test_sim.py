@@ -22,7 +22,6 @@ from qlma.sim import (
     inverse_circuit,
     measure_distribution,
     u,
-    x,
 )
 
 from reference import circuit_unitary, op_unitary
@@ -38,13 +37,6 @@ def random_state(n):
 def test_h_on_zero_gives_plus():
     s = apply_gate(StateVector.zero(1), h(0))
     assert np.allclose(s.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-
-def test_x_twice_is_identity():
-    for n in (1, 3):
-        s = random_state(n)
-        out = apply_gate(apply_gate(s, x(n - 1)), x(n - 1))
-        assert np.allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
 def test_cx_flips_target_when_control_set():
@@ -74,7 +66,7 @@ def test_gate_unitarity_random_angles(trial):
     rng = np.random.default_rng(100 + trial)
     th, ph, lam, gm = rng.uniform(-2 * math.pi, 2 * math.pi, size=4)
     ops = [
-        x(0),
+        cx(2, 0, control_state=0),
         h(0),
         u(0, th, ph, lam, gm),
         cx(1, 0),
@@ -170,7 +162,7 @@ def test_gate_counts_multicontrol_is_two_qubit():
 def test_dagger_inverts_each_kind():
     rng = np.random.default_rng(7)
     for op in (
-        x(0),
+        cx(1, 0, control_state=0),
         h(1),
         u(0, *rng.uniform(-3, 3, 4)),
         cx(2, 0),
@@ -208,6 +200,32 @@ def test_invalid_ops_rejected():
         apply_gate(StateVector.zero(1), cx(1, 0))  # out of range
 
 
+@pytest.mark.parametrize(
+    "kind, kwargs, message",
+    [
+        ("z", {}, "^unknown gate kind 'z'$"),
+        ("cx", {"controls": (1,), "control_states": (1, 0)}, "^controls and control_states lengths differ$"),
+        ("cx", {"controls": (1,), "control_states": (2,)}, "^control states must be 0 or 1$"),
+        ("cx", {}, "^cx takes exactly one control$"),
+        ("cu", {"controls": (1, 2), "params": (0.1, 0.2, 0.3, 0.4)}, "^cu takes exactly one control$"),
+        ("cry", {"controls": (1, 1), "params": (0.5,)}, "^duplicate control qubits$"),
+    ],
+    ids=["unknown-kind", "polarity-count", "polarity-value", "cx-no-control", "cu-two-controls", "duplicate-control"],
+)
+def test_gate_op_names_its_fault(kind, kwargs, message):
+    with pytest.raises(SimulationError, match=message):
+        GateOp(kind, 0, **kwargs)
+
+
+def test_sizes_that_disagree_are_rejected():
+    with pytest.raises(SimulationError, match="amplitude vector of length .* does not match 2 qubits"):
+        StateVector(2, [1.0, 0.0])
+    with pytest.raises(SimulationError, match="^circuit on 1 qubits applied to 2-qubit state$"):
+        apply_circuit(StateVector.zero(2), Circuit(1, (h(0),)))
+    with pytest.raises(SimulationError, match="^qubit 1 out of range$"):
+        measure_distribution(StateVector.zero(1), [1])
+
+
 # ---------------------------------------------------------------------------
 # bit identity of the index-plan kernel with the mask-based kernel
 # ---------------------------------------------------------------------------
@@ -236,7 +254,7 @@ def seeded_state(n, seed):
 
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-N_PARAMS = {"x": 0, "h": 0, "u": 4, "cx": 0, "cu": 4, "cry": 1}
+N_PARAMS = {"h": 0, "u": 4, "cx": 0, "cu": 4, "cry": 1}
 
 
 @st.composite
@@ -245,7 +263,7 @@ def gate_ops(draw):
     kind = draw(st.sampled_from(sorted(N_PARAMS)))
     target = draw(st.integers(0, n - 1))
     others = draw(st.permutations([q for q in range(n) if q != target]))
-    if kind in ("x", "h", "u"):
+    if kind in ("h", "u"):
         n_ctrl = 0
     elif kind in ("cx", "cu"):
         assume(others)
@@ -300,7 +318,7 @@ def test_apply_circuit_bit_identical_on_rotation_runs(n, data, seed):
 
 
 def test_circuit_passes_are_computed_once_and_read_only():
-    ops = (h(0), cu(0, 2, 0.3, 0.1, -0.2, 0.4), cry(0.5, 1, (0, 2), (0, 1)), cry(0.7, 1, (0, 2), (1, 1)), x(2))
+    ops = (h(0), cu(0, 2, 0.3, 0.1, -0.2, 0.4), cry(0.5, 1, (0, 2), (0, 1)), cry(0.7, 1, (0, 2), (1, 1)), cx(0, 2))
     circuit, state = Circuit(3, ops), seeded_state(3, 5)
     expected = state.amplitudes
     for op in ops:
@@ -351,14 +369,12 @@ def test_repeated_control_pattern_is_applied_twice():
 def circuit_ops(draw, n):
     """One op of any kind on n qubits, with the diagonal (theta = 0) rotations
     and the flips whose zero and unit coefficients the kernel skips."""
-    kinds = ["x", "h", "u", "diagonal-u", "cry"] + (["cx", "cu", "diagonal-cu"] if n > 1 else [])
+    kinds = ["h", "u", "diagonal-u", "cry"] + (["cx", "cu", "diagonal-cu"] if n > 1 else [])
     kind = draw(st.sampled_from(kinds))
     target = draw(st.integers(0, n - 1))
     others = draw(st.permutations([q for q in range(n) if q != target]))
     polarity = draw(st.integers(0, 1))
     phases = draw(st.tuples(angles, angles, st.sampled_from([0.0]) | angles))
-    if kind == "x":
-        return x(target)
     if kind == "h":
         return h(target)
     if kind == "u":
@@ -390,7 +406,7 @@ def per_gate(amps, circuit):
 
 @settings(max_examples=300, deadline=None)
 @given(circuits(), st.integers(0, 2**32 - 1))
-@example(circuit=Circuit(2, (x(0), cx(0, 1), cu(0, 1, 0.0, 0.0, 0.0, 0.7), u(1, 0.0, 0.0, 0.0, 0.0))), seed=0)
+@example(circuit=Circuit(2, (cx(1, 0), cx(0, 1), cu(0, 1, 0.0, 0.0, 0.0, 0.7), u(1, 0.0, 0.0, 0.0, 0.0))), seed=0)
 def test_apply_circuit_bit_identical_to_mask_kernel(circuit, seed):
     """On a state with no zero component, skipping a term whose coefficient is
     exactly zero, or a multiply by exactly one, changes no bit."""
@@ -419,7 +435,7 @@ def test_apply_circuit_equals_mask_kernel_on_states_with_exact_zeros(circuit, se
 
 
 def test_apply_gate_and_apply_circuit_leave_the_input_state_unwritten():
-    ops = (h(0), x(1), cx(0, 2), cu(1, 0, 0.0, 0.0, 0.4), u(2, 0.3, 0.1, -0.2, 0.4), cry(0.5, 1, (0, 2), (0, 1)))
+    ops = (h(0), cx(0, 1, 0), cx(0, 2), cu(1, 0, 0.0, 0.0, 0.4), u(2, 0.3, 0.1, -0.2, 0.4), cry(0.5, 1, (0, 2), (0, 1)))
     state = seeded_state(3, 9)
     before = state.amplitudes.tobytes()
     for op in ops:

@@ -68,6 +68,12 @@ def test_decompose_rejects_non_hermitian():
         decompose_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 4)), np.ones(4), np.ones((1, 2, 2))])
+def test_decompose_rejects_a_non_square_matrix(matrix):
+    with pytest.raises(SimulationError, match="^matrix must be square$"):
+        decompose_hermitian(matrix)
+
+
 @pytest.mark.parametrize("matrix", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]])
 def test_decompose_rejects_non_finite(matrix):
     with pytest.raises(SimulationError, match="non-finite"):
