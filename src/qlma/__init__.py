@@ -24,7 +24,6 @@ from .hhl import (
     embed_problem,
     hhl_gate_tally,
     hhl_solve,
-    inversion_rotation_circuit,
     state_preparation_circuit,
 )
 from .jets import Jet

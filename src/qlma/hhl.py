@@ -36,10 +36,9 @@ from .sim import (
     apply_passes,
     cry,
     gate_counts,
-    gate_matrix,
     h,
-    inverse_circuit,
     measure_distribution,
+    ry_matrix,
 )
 from .trotter import (
     HERMITIAN_TOL,
@@ -47,6 +46,7 @@ from .trotter import (
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
+    qft_circuit,
 )
 
 REACHABLE_TOL = 1e-9  # register values with more weight are treated as reachable
@@ -79,6 +79,8 @@ class HermitianProblem:
         b = np.asarray(self.rhs, dtype=float)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rhs", b)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or 2 ** (m.shape[0].bit_length() - 1) != m.shape[0]:
+            raise HhlError(f"embedded matrix of shape {m.shape} is not square with a power-of-two size")
         if not np.all(np.isfinite(m)):
             raise HhlError("embedded matrix has non-finite entries")
         if not np.all(np.isfinite(b)):
@@ -253,42 +255,6 @@ def _encode_subtree(sub: np.ndarray, qubit: int, controls: list[tuple[int, int]]
         _encode_subtree(right, qubit - 1, controls + [(qubit, 1)], ops)
 
 
-def inversion_rotation_circuit(
-    phase_qubits: list[int],
-    ancilla: int,
-    inversion_constant: float,
-    bin_eigenvalues: list[float | None] | None = None,
-) -> Circuit:
-    """Per-register-value ancilla rotations encoding reciprocal eigenvalues.
-
-    For each phase-register value v (phase_qubits[j] holds bit j of v) with
-    eigenvalue lam, rotates the ancilla by 2*arcsin(C/lam), turning |0> into
-    sqrt(1 - C^2/lam^2)|0> + (C/lam)|1>.  Register value 0 is never
-    rotated.  bin_eigenvalues[v] = None skips a bin (the caller asserting it
-    is unreachable); otherwise C/|lam| > 1 raises.  Default bins are the
-    signed grid v/2**m.
-    """
-    m = len(phase_qubits)
-    if bin_eigenvalues is None:
-        bin_eigenvalues = [bin_phase(v, m) if v else None for v in range(2**m)]
-    if len(bin_eigenvalues) != 2**m:
-        raise HhlError("need one eigenvalue entry per register value")
-    ops: list[GateOp] = []
-    for value in range(1, 2**m):
-        lam = bin_eigenvalues[value]
-        if lam is None:
-            continue
-        ratio = inversion_constant / lam
-        if abs(ratio) > 1.0 + 1e-12:
-            raise HhlError(
-                f"rotation undefined: C={inversion_constant} exceeds |eigenvalue| {abs(lam)} at register value {value}"
-            )
-        angle = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
-        states = tuple((value >> j) & 1 for j in range(m))
-        ops.append(cry(angle, ancilla, phase_qubits, states))
-    return Circuit(max((ancilla, *phase_qubits)) + 1, tuple(ops))
-
-
 def _nearest_unitary(matrix: np.ndarray) -> np.ndarray:
     """Polar projection; the exact operator is unitary, only roundoff is not."""
     u_, _, vt = np.linalg.svd(matrix)
@@ -323,25 +289,25 @@ def _renormalize(amps: np.ndarray) -> None:
 @functools.lru_cache(maxsize=16)
 def _readout_circuits(n_data: int, n_phase: int) -> tuple[tuple[Circuit, ...], Circuit, Circuit, Circuit]:
     """The Hadamard on each phase qubit q as a circuit on qubits 0..q, the
-    inverse transform on the data and phase qubits, its inverse with the
-    ancilla too, and the Hadamards on the data and phase qubits."""
+    inverse transform on the data and phase qubits, the forward transform
+    with the ancilla too, and the Hadamards on the data and phase qubits."""
     phase_qubits, n = list(range(n_data, n_data + n_phase)), n_data + n_phase
     iqft = inverse_qft_circuit(phase_qubits)  # on qubits 0..n-1
     grow = tuple(Circuit(q + 1, (h(q),)) for q in phase_qubits)
-    return grow, iqft, Circuit(n + 1, inverse_circuit(iqft).ops), Circuit(n, tuple(h(q) for q in phase_qubits))
+    return grow, iqft, Circuit(n + 1, qft_circuit(phase_qubits).ops), Circuit(n, tuple(h(q) for q in phase_qubits))
 
 
 @functools.lru_cache(maxsize=16)
 def _inversion_table(n_phase: int, constant: float) -> tuple[np.ndarray, np.ndarray]:
-    """The register values the inversion rotates for constant C and their
-    (R, 1, 2, 2) rotation matrices, read-only, read off the ops of
-    inversion_rotation_circuit; the bins where |C/lam| > 1 are skipped.  C is
-    always one of the 2**(m-1) positive bin phases."""
-    lams = [bin_phase(v, n_phase) for v in range(2**n_phase)]
-    bins = [lam if v and abs(constant / lam) <= 1.0 + 1e-12 else None for v, lam in enumerate(lams)]
-    ops = inversion_rotation_circuit(list(range(n_phase)), n_phase, constant, bins).ops
-    values = np.array([sum(s << j for j, s in enumerate(op.control_states)) for op in ops])
-    mats = np.stack([gate_matrix(op) for op in ops])[:, None]
+    """The register values v the inversion rotates for constant C, in
+    increasing order, and their (R, 1, 2, 2) matrices RY(2 arcsin(C/lam(v))),
+    read-only.  Value 0 and the bins where |C/lam| > 1 are skipped; C is
+    always one of the 2**(m-1) positive bin phases.  tests/reference.py
+    holds the same rotations as gates."""
+    ratios = [(v, constant / bin_phase(v, n_phase)) for v in range(1, 2**n_phase)]
+    rotated = [(v, ratio) for v, ratio in ratios if abs(ratio) <= 1.0 + 1e-12]
+    values = np.array([v for v, _ in rotated])
+    mats = np.stack([ry_matrix(2.0 * math.asin(max(-1.0, min(1.0, ratio)))) for _, ratio in rotated])[:, None]
     values.flags.writeable = mats.flags.writeable = False
     return values, mats
 
@@ -386,7 +352,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     # inverse transform and the readout run without it; the Hadamard on phase
     # qubit q runs on qubits 0..q.  The powers keep the all-zero ancilla rows:
     # Haswell's zgemm rounds a row by the row count, and one row is a gemv.
-    grow_hadamards, iqft, iqft_dag, hadamards = _readout_circuits(k, m)
+    grow_hadamards, iqft, qft, hadamards = _readout_circuits(k, m)
     amps = np.zeros(2**n, dtype=complex)
     amps[: 2**k] = apply_circuit(StateVector.zero(k), state_preparation_circuit(problem.rhs)).amplitudes
     for circuit in grow_hadamards:
@@ -410,7 +376,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     # The uncompute keeps all n qubits: each controlled power renormalizes by
     # the norm of both ancilla branches.  The last Hadamards run only on the
     # ancilla = 1 half, which the post-selection reads and is not unit-norm.
-    amps = apply_circuit(state, iqft_dag).amplitudes
+    amps = apply_circuit(state, qft).amplitudes
     for q, power in reversed(list(zip(phase_qubits, _squaring_chain(step.conj().T, m)))):
         _apply_controlled_block(amps, power, k, q)
         _renormalize(amps)

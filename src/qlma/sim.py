@@ -13,9 +13,10 @@ Gate kinds:
            uncontrolled one); the control may trigger on |0> or |1>.
     "cu"   singly-controlled "u"; gamma becomes a relative phase.
     "cry"  Y-rotation with any number of polarity controls (zero controls is
-           a plain RY).  Carries the eigenvalue-inversion rotations and
-           amplitude encoding, where one rotation per register pattern is
-           needed.
+           a plain RY).  Carries the amplitude encoding, where one rotation
+           per register pattern is needed.  The eigenvalue inversion applies
+           the same RY matrices per register value without ops (qlma.hhl);
+           its gate form, in tests/reference.py, is made of cry ops.
 
 A controlled single-qubit gate counts as a two-qubit gate in gate tallies,
 regardless of its number of controls.

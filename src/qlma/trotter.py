@@ -1,5 +1,5 @@
 """Pauli decomposition, the product-formula evolution as a dense matrix, and
-the inverse Fourier transform.
+the forward and inverse Fourier transforms.
 
 Evolution convention: a spec with matrix A and time t implements e^{-iAt}.
 Phase estimation over it (the linear solver in qlma.hhl) therefore reads
@@ -181,7 +181,7 @@ def evolution_matrix(spec: EvolutionSpec) -> np.ndarray:
 # Fourier transform.
 # ---------------------------------------------------------------------------
 
-def _qft_circuit(qubits: list[int]) -> Circuit:
+def qft_circuit(qubits: list[int]) -> Circuit:
     """Forward transform; qubits[0] is the least significant bit."""
     m = len(qubits)
     ops: list[GateOp] = []
@@ -200,5 +200,5 @@ def inverse_qft_circuit(qubits: list[int]) -> Circuit:
     """Circuit whose dense matrix is the inverse DFT on 2**m amplitudes."""
     if not qubits:
         raise SimulationError("empty qubit list")
-    return inverse_circuit(_qft_circuit(list(qubits)))
+    return inverse_circuit(qft_circuit(list(qubits)))
 

@@ -1,12 +1,15 @@
 """Reference forms the tests check the package against: gate and circuit
 unitaries, Pauli-string matrices, the sum of a decomposition, a reader for
 trace files, the product formula's gate form (the package runs its matrix
-form only), the phase-estimation circuit, the three-qubit textbook instance
-of the linear solver, and the name of the OpenBLAS kernel that the pinned
-digests are recorded per."""
+form only), the phase-estimation circuit, the eigenvalue inversion's gate
+form (the package computes its rotation matrices from C/lam), the
+three-qubit textbook instance of the linear solver, and, for the pinned
+digests, the name of the OpenBLAS kernel they are recorded per and a pin
+to the one OpenBLAS thread they are recorded with."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import glob
@@ -15,19 +18,42 @@ import os
 
 import numpy as np
 
+from qlma.hhl import HhlError, bin_phase
 from qlma.optimizer import ConvergenceTrace, IterationRecord
-from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cu, cx, dagger, h, u
+from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cry, cu, cx, dagger, h, u
 from qlma.trotter import EvolutionSpec, HermitianDecomposition, _slice_sequence, inverse_qft_circuit
+
+
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, or None if numpy ships none."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
+    return ctypes.CDLL(libs[0]) if libs else None
 
 
 def openblas_core() -> str:
     """The kernel OpenBLAS picked at load time (SkylakeX, Haswell, ...), as it names it."""
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
-    if not libs:
+    lib = _openblas()
+    if lib is None:
         return "unknown (no OpenBLAS in numpy.libs)"
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename = lib.scipy_openblas_get_corename64_
     corename.restype = ctypes.c_char_p
     return corename().decode()
+
+
+@contextlib.contextmanager
+def one_openblas_thread():
+    """Run the block with OpenBLAS on one thread, the count the pinned
+    digests are recorded with, and restore the previous count after it."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
 
 
 _PAULI_1Q = {
@@ -203,3 +229,43 @@ def qpe_circuit(spec: EvolutionSpec, phase_qubits: list[int]) -> Circuit:
         ops.extend(trotter_circuit(spec, controlled_by=(q, j)).ops)
     ops.extend(inverse_qft_circuit(list(phase_qubits)).ops)
     return Circuit(max(phase_qubits) + 1, tuple(ops))
+
+
+# ---------------------------------------------------------------------------
+# Gate form of the eigenvalue inversion.
+# ---------------------------------------------------------------------------
+
+def inversion_rotation_circuit(
+    phase_qubits: list[int],
+    ancilla: int,
+    inversion_constant: float,
+    bin_eigenvalues: list[float | None] | None = None,
+) -> Circuit:
+    """Per-register-value ancilla rotations encoding reciprocal eigenvalues.
+
+    For each phase-register value v (phase_qubits[j] holds bit j of v) with
+    eigenvalue lam, rotates the ancilla by 2*arcsin(C/lam), turning |0> into
+    sqrt(1 - C^2/lam^2)|0> + (C/lam)|1>.  Register value 0 is never
+    rotated.  bin_eigenvalues[v] = None skips a bin (the caller asserting it
+    is unreachable); otherwise C/|lam| > 1 raises.  Default bins are the
+    signed grid v/2**m.
+    """
+    m = len(phase_qubits)
+    if bin_eigenvalues is None:
+        bin_eigenvalues = [bin_phase(v, m) if v else None for v in range(2**m)]
+    if len(bin_eigenvalues) != 2**m:
+        raise HhlError("need one eigenvalue entry per register value")
+    ops: list[GateOp] = []
+    for value in range(1, 2**m):
+        lam = bin_eigenvalues[value]
+        if lam is None:
+            continue
+        ratio = inversion_constant / lam
+        if abs(ratio) > 1.0 + 1e-12:
+            raise HhlError(
+                f"rotation undefined: C={inversion_constant} exceeds |eigenvalue| {abs(lam)} at register value {value}"
+            )
+        angle = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
+        states = tuple((value >> j) & 1 for j in range(m))
+        ops.append(cry(angle, ancilla, phase_qubits, states))
+    return Circuit(max((ancilla, *phase_qubits)) + 1, tuple(ops))

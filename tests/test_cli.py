@@ -11,7 +11,7 @@ import pytest
 import qlma
 from qlma.cli import COMPARE_KEYS, RUN_KEYS, RunConfig, main, run_batch, write_summary
 
-from reference import openblas_core
+from reference import one_openblas_thread, openblas_core
 
 
 def read_csv(path):
@@ -593,9 +593,10 @@ def test_compare_and_gen_outputs_match_pinned_digests(tmp_path, argv, digests_by
     assert digests is not None, f"no digests recorded for OpenBLAS core {core}"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     script = "import sys; from qlma.cli import main; sys.exit(main(sys.argv[1:]))"
-    result = subprocess.run(
-        [sys.executable, "-c", script, *argv, "--out", str(tmp_path)], env=env, capture_output=True, text=True
-    )
+    with one_openblas_thread():
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path)], env=env, capture_output=True, text=True
+        )
     assert result.returncode == 0, result.stderr
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests

@@ -21,7 +21,6 @@ from qlma.hhl import (
     embed_problem,
     hhl_gate_tally,
     hhl_solve,
-    inversion_rotation_circuit,
     _apply_controlled_block,
     _hhl_lambda_bound,
     _inversion_table,
@@ -54,7 +53,7 @@ from qlma.trotter import (
     inverse_qft_circuit,
 )
 
-from reference import minimal_hhl_circuit, openblas_core, qpe_circuit
+from reference import inversion_rotation_circuit, minimal_hhl_circuit, one_openblas_thread, openblas_core, qpe_circuit
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -177,8 +176,11 @@ def test_embed_rejects_input_it_cannot_embed_where_it_enters(matrix, rhs, messag
         (np.eye(4), [1.0, 0.0], r"^embedded rhs of shape \(2,\) does not match the 4-row matrix$"),
         (np.eye(2), [[1.0, 0.0]], r"^embedded rhs of shape \(1, 2\) does not match the 2-row matrix$"),
         ([[1.0, 1.0], [0.0, 1.0]], [1.0, 0.0], "^embedded matrix is not Hermitian$"),
+        (np.ones((2, 3)), [1.0, 0.0], r"^embedded matrix of shape \(2, 3\) is not square with a power-of-two size$"),
+        (np.eye(3), [1.0, 0.0, 0.0], r"^embedded matrix of shape \(3, 3\) is not square with a power-of-two size$"),
+        (np.ones(4), [1.0, 0.0, 0.0, 0.0], r"^embedded matrix of shape \(4,\) is not square with a power-of-two size$"),
     ],
-    ids=["nan-rhs", "inf-rhs", "short-rhs", "row-rhs", "non-hermitian"],
+    ids=["nan-rhs", "inf-rhs", "short-rhs", "row-rhs", "non-hermitian", "non-square", "size-3", "one-dimensional"],
 )
 def test_hermitian_problem_rejects_a_bad_field_by_name(matrix, rhs, message):
     with pytest.raises(HhlError, match=message):
@@ -722,9 +724,9 @@ def full_register_hhl_solve(problem, config):
 
 
 def test_solve_reuses_an_inversion_table_equal_to_a_fresh_circuit(monkeypatch):
-    """hhl_solve reads its inversion off a table cached per (m, C): the
-    register values and rotation matrices of inversion_rotation_circuit's
-    ops, read-only."""
+    """hhl_solve reads its inversion off a read-only table cached per (m, C).
+    At every m = 1..8 and every positive bin phase C = j / 2**m, the table
+    holds the register values and rotation matrices of the gate form's ops."""
     tables = []
 
     def spy(n_phase, constant):
@@ -739,16 +741,17 @@ def test_solve_reuses_an_inversion_table_equal_to_a_fresh_circuit(monkeypatch):
     first, second = hhl_solve(problem, config), hhl_solve(problem, config)
     assert len(tables) == 2 and tables[0] is tables[1]
     assert first.solution.tobytes() == second.solution.tobytes()
-    k, m = problem.n_data_qubits, config.n_phase_qubits
-    _, fresh = _reference_inversion(first.register_distribution, config, list(range(k, k + m)), k + m)
-    values, mats = tables[0]
-    assert len(fresh.ops) > 1 and values.tolist() == [
-        sum(s << j for j, s in enumerate(op.control_states)) for op in fresh.ops
-    ]
-    assert mats.tobytes() == np.stack([gate_matrix(op) for op in fresh.ops])[:, None].tobytes()
-    for table in (values, mats):
+    for table in tables[0]:
         with pytest.raises(ValueError):
             table[0] = 0
+    for m in range(1, 9):
+        for j in range(1, 2 ** (m - 1) + 1):
+            constant, fresh = _reference_inversion({j: 1.0}, HhlConfig(n_phase_qubits=m), list(range(m)), m)
+            values, mats = _inversion_table(m, constant)
+            assert constant == j / 2**m and values.tolist() == [
+                sum(s << q for q, s in enumerate(op.control_states)) for op in fresh.ops
+            ]
+            assert mats.tobytes() == np.stack([gate_matrix(op) for op in fresh.ops])[:, None].tobytes()
 
 
 @st.composite
@@ -826,4 +829,5 @@ def test_lm_step_solves_match_pinned_digests(m):
     core = openblas_core()
     digests = _LM_SOLVE_DIGESTS.get(core)
     assert digests is not None, f"no digests recorded for OpenBLAS core {core}"
-    assert _lm_solve_digest(m) == digests[m]
+    with one_openblas_thread():
+        assert _lm_solve_digest(m) == digests[m]
