@@ -24,7 +24,6 @@ from .hhl import (
     embed_problem,
     hhl_gate_tally,
     hhl_solve,
-    state_preparation_circuit,
 )
 from .jets import Jet
 from .noise import ErrorRates, RATE_PRESETS, repeated_success, success_probability

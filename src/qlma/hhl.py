@@ -1,5 +1,5 @@
-"""Quantum linear solver: state preparation, phase estimation, eigenvalue
-inversion, uncompute, post-selection.
+"""Quantum linear solver: closed-form state preparation, phase estimation,
+eigenvalue inversion, uncompute, post-selection.
 
 Register layout for a 2**k system with m phase qubits: data on qubits
 0..k-1 (amplitude-index low bits), phase register on k..k+m-1, inversion
@@ -28,13 +28,11 @@ import numpy as np
 
 from .sim import (
     Circuit,
-    GateOp,
     SimulationError,
     StateVector,
     apply_circuit,
     apply_gate,  # unused here; perfbench's tracer hooks qlma.hhl.apply_gate
     apply_passes,
-    cry,
     gate_counts,
     h,
     measure_distribution,
@@ -75,8 +73,7 @@ class HermitianProblem:
     scale: float = 1.0
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
+        m, b = _real(self.matrix, "embedded matrix"), _real(self.rhs, "embedded rhs")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rhs", b)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or 2 ** (m.shape[0].bit_length() - 1) != m.shape[0]:
@@ -102,6 +99,12 @@ def _next_power_of_two(n: int) -> int:
     return k
 
 
+def _real(value, name: str) -> np.ndarray:
+    if np.iscomplexobj(value):  # the cast would drop the imaginary part with only a warning
+        raise HhlError(f"{name} is complex")
+    return np.asarray(value, dtype=float)
+
+
 def embed_problem(matrix: np.ndarray, rhs: np.ndarray, force_dilation: bool = False) -> HermitianProblem:
     """Embed a real symmetric system into power-of-two Hermitian form.
 
@@ -113,8 +116,7 @@ def embed_problem(matrix: np.ndarray, rhs: np.ndarray, force_dilation: bool = Fa
     quantum backend always applies) then dilates to [[0, M], [M, 0]] with
     the rhs in the first block; the solution lives in the second block.
     """
-    m = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
+    m, b = _real(matrix, "matrix"), _real(rhs, "rhs")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise HhlError("matrix must be square")
     if b.shape != (m.shape[0],):
@@ -214,45 +216,48 @@ def _hhl_lambda_bound(matrix: np.ndarray, n_phase_qubits: int) -> float:
     return top * factor
 
 
-def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
-    """Exact amplitude encoding of a real unit vector of length 2**k on the
-    data register, qubits 0..k-1.
-
-    |0..0> maps to sum_i rhs_i |i> through a binary tree of
-    polarity-controlled Y rotations.
-    """
+def _encoding_rotations(rhs: np.ndarray) -> list[tuple[int, int, float]]:
+    """Grover & Rudolph's encoding of a real unit vector of length 2**k as Y
+    rotations (block start, half size, angle), parent first: each splits the
+    amplitude at start into cos(angle/2) there and sin(angle/2) at start +
+    half.  A half of norm 0 is not descended into; tests/reference.py has the gates."""
     v = np.asarray(rhs, dtype=float)
     k = v.size.bit_length() - 1
     if v.ndim != 1 or k < 1 or v.size != 2**k:
         raise HhlError(f"rhs length {v.size} is not a power of two of at least 2")
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # also rejects NaN
         raise HhlError("rhs must be normalized")
+    rotations, blocks = [], [(0, v)]
+    while blocks:  # depth first with the left half first, as the gate form
+        start, sub = blocks.pop()
+        half = sub.size // 2
+        left, right = sub[:half], sub[half:]
+        if half == 1:
+            angle = 2.0 * math.atan2(right[0], left[0])
+        else:
+            left_norm, right_norm = float(np.linalg.norm(left)), float(np.linalg.norm(right))
+            angle = 2.0 * math.atan2(right_norm, left_norm)
+            if right_norm > 0.0:
+                blocks.append((start + half, right))
+            if left_norm > 0.0:  # pushed last, so walked first
+                blocks.append((start, left))
+        if abs(angle) > 1e-15:
+            rotations.append((start, half, angle))
+    return rotations
 
-    ops: list[GateOp] = []
-    _encode_subtree(v, k - 1, [], ops)
-    return Circuit(k, tuple(ops))
 
-
-def _encode_subtree(sub: np.ndarray, qubit: int, controls: list[tuple[int, int]], ops: list[GateOp]) -> None:
-    """Append the rotations that encode `sub` on qubits qubit..0 under the
-    (qubit, state) `controls`, depth first with the left half first."""
-    half = sub.size // 2
-    left, right = sub[:half], sub[half:]
-    if half == 1:
-        angle = 2.0 * math.atan2(right[0], left[0])
-    else:
-        left_norm, right_norm = float(np.linalg.norm(left)), float(np.linalg.norm(right))
-        angle = 2.0 * math.atan2(right_norm, left_norm)
-    if abs(angle) > 1e-15:
-        ctrl_qubits = tuple(c for c, _ in controls)
-        ctrl_states = tuple(s for _, s in controls)
-        ops.append(cry(angle, qubit, ctrl_qubits, ctrl_states))
-    if half == 1:
-        return
-    if left_norm > 0.0:
-        _encode_subtree(left, qubit - 1, controls + [(qubit, 0)], ops)
-    if right_norm > 0.0:
-        _encode_subtree(right, qubit - 1, controls + [(qubit, 1)], ops)
+def _estimation_input(rhs: np.ndarray, n_phase: int) -> np.ndarray:
+    """|b> (x) |+>^m as the real products the encoding's gates and a Hadamard per
+    phase qubit form, each on a state whose other half is +0.  A rotation skipped
+    under a zero half leaves its block the product its parent wrote at its start."""
+    data = np.zeros(np.size(rhs))
+    data[0] = 1.0
+    for start, half, angle in _encoding_rotations(rhs):
+        a = data[start]
+        data[start], data[start + half] = a * math.cos(angle / 2.0), a * math.sin(angle / 2.0)
+    for _ in range(n_phase):
+        data *= 1.0 / math.sqrt(2.0)  # the Hadamard's entry
+    return np.tile(data, 2**n_phase)
 
 
 def _nearest_unitary(matrix: np.ndarray) -> np.ndarray:
@@ -287,14 +292,12 @@ def _renormalize(amps: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _readout_circuits(n_data: int, n_phase: int) -> tuple[tuple[Circuit, ...], Circuit, Circuit, Circuit]:
-    """The Hadamard on each phase qubit q as a circuit on qubits 0..q, the
-    inverse transform on the data and phase qubits, the forward transform
-    with the ancilla too, and the Hadamards on the data and phase qubits."""
+def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit, Circuit]:
+    """The inverse transform on the data and phase qubits, the forward
+    transform with the ancilla too, and the Hadamards on the phase qubits."""
     phase_qubits, n = list(range(n_data, n_data + n_phase)), n_data + n_phase
     iqft = inverse_qft_circuit(phase_qubits)  # on qubits 0..n-1
-    grow = tuple(Circuit(q + 1, (h(q),)) for q in phase_qubits)
-    return grow, iqft, Circuit(n + 1, qft_circuit(phase_qubits).ops), Circuit(n, tuple(h(q) for q in phase_qubits))
+    return iqft, Circuit(n + 1, qft_circuit(phase_qubits).ops), Circuit(n, tuple(h(q) for q in phase_qubits))
 
 
 @functools.lru_cache(maxsize=16)
@@ -348,15 +351,12 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
     time = -math.pi / bound
     spec = EvolutionSpec(decompose_hermitian(problem.matrix), time, config.slices)
 
-    # The ancilla stays |0> until the inversion, so the state preparation, the
-    # inverse transform and the readout run without it; the Hadamard on phase
-    # qubit q runs on qubits 0..q.  The powers keep the all-zero ancilla rows:
-    # Haswell's zgemm rounds a row by the row count, and one row is a gemv.
-    grow_hadamards, iqft, qft, hadamards = _readout_circuits(k, m)
+    # The ancilla stays |0> until the inversion, so |b> (x) |+>^m (closed form),
+    # the inverse transform and the readout run without it.  The powers keep its
+    # zero rows: Haswell's zgemm rounds a row by the row count; one row is a gemv.
+    iqft, qft, hadamards = _readout_circuits(k, m)
     amps = np.zeros(2**n, dtype=complex)
-    amps[: 2**k] = apply_circuit(StateVector.zero(k), state_preparation_circuit(problem.rhs)).amplitudes
-    for circuit in grow_hadamards:
-        apply_passes(amps[: 2**circuit.n_qubits], circuit)
+    amps[: 2 ** (k + m)] = _estimation_input(problem.rhs, m)
     step = _nearest_unitary(evolution_matrix(spec))
     for q, power in zip(phase_qubits, _squaring_chain(step, m)):
         _apply_controlled_block(amps, power, k, q)
@@ -409,7 +409,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
 def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> tuple[int, int, dict[str, int]]:
     """Gate tally of the fully unrolled pipeline, computed compositionally.
 
-    Counts the state preparation, Hadamards, one controlled evolution per
+    Counts the encoding's rotations, Hadamards, one controlled evolution per
     phase qubit (slice gates, counted from the Pauli labels, times
     slices * 2**j), the inverse transform, the inversion rotations (one per
     nonzero register value, counted from the register size), and the uncompute
@@ -435,8 +435,9 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
             visits["cu"] += 1
     powers = 2 * sum(2**j for j in range(m))  # estimation plus uncompute
     identity = 2 * m if "I" * k in labels else 0  # the identity term is one phase gate per controlled power
+    encoding = [half == 2 ** (k - 1) for _, half, _ in _encoding_rotations(problem.rhs)]  # cry; uncontrolled at the root
     parts = [  # (one-qubit, two-qubit, per-kind) tallies, each with its multiplicity
-        (gate_counts(state_preparation_circuit(problem.rhs)), 1),
+        ((sum(encoding), len(encoding) - sum(encoding), {"cry": len(encoding)}), 1),
         ((2 * m, 0, {"h": 2 * m}), 1),
         # the order-2 formula that hhl_solve runs visits every term twice per slice
         ((visits["h"] + visits["u"], visits["cx"] + visits["cu"], visits), 2 * config.slices * powers),

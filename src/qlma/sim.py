@@ -13,10 +13,10 @@ Gate kinds:
            uncontrolled one); the control may trigger on |0> or |1>.
     "cu"   singly-controlled "u"; gamma becomes a relative phase.
     "cry"  Y-rotation with any number of polarity controls (zero controls is
-           a plain RY).  Carries the amplitude encoding, where one rotation
-           per register pattern is needed.  The eigenvalue inversion applies
-           the same RY matrices per register value without ops (qlma.hhl);
-           its gate form, in tests/reference.py, is made of cry ops.
+           a plain RY).  The amplitude encoding's and the eigenvalue
+           inversion's gate form, both in tests/reference.py; qlma.hhl runs
+           neither as ops (it computes their state and RY matrices), and its
+           gate tally still counts both as cry.
 
 A controlled single-qubit gate counts as a two-qubit gate in gate tallies,
 regardless of its number of controls.

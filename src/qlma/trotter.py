@@ -183,6 +183,8 @@ def evolution_matrix(spec: EvolutionSpec) -> np.ndarray:
 
 def qft_circuit(qubits: list[int]) -> Circuit:
     """Forward transform; qubits[0] is the least significant bit."""
+    if not qubits:
+        raise SimulationError("empty qubit list")
     m = len(qubits)
     ops: list[GateOp] = []
     for i in range(m - 1, -1, -1):
@@ -198,7 +200,5 @@ def qft_circuit(qubits: list[int]) -> Circuit:
 
 def inverse_qft_circuit(qubits: list[int]) -> Circuit:
     """Circuit whose dense matrix is the inverse DFT on 2**m amplitudes."""
-    if not qubits:
-        raise SimulationError("empty qubit list")
     return inverse_circuit(qft_circuit(list(qubits)))
 

@@ -1,11 +1,13 @@
 """Reference forms the tests check the package against: gate and circuit
 unitaries, Pauli-string matrices, the sum of a decomposition, a reader for
-trace files, the product formula's gate form (the package runs its matrix
-form only), the phase-estimation circuit, the eigenvalue inversion's gate
-form (the package computes its rotation matrices from C/lam), the
-three-qubit textbook instance of the linear solver, and, for the pinned
-digests, the name of the OpenBLAS kernel they are recorded per and a pin
-to the one OpenBLAS thread they are recorded with."""
+trace files, the amplitude encoding's gate form (the package computes the
+state it prepares in closed form), the product formula's gate form (the
+package runs its matrix form only), the phase-estimation circuit, the
+eigenvalue inversion's gate form (the package computes its rotation
+matrices from C/lam), the three-qubit textbook instance of the linear
+solver, and, for the pinned digests, the name of the OpenBLAS kernel they
+are recorded per and a pin to the one OpenBLAS thread they are recorded
+with."""
 
 from __future__ import annotations
 
@@ -140,6 +142,51 @@ def minimal_hhl_circuit() -> Circuit:
         h(phase),
     )
     return Circuit(3, ops)
+
+
+# ---------------------------------------------------------------------------
+# Gate form of the amplitude encoding.
+# ---------------------------------------------------------------------------
+
+def state_preparation_circuit(rhs: np.ndarray) -> Circuit:
+    """Exact amplitude encoding of a real unit vector of length 2**k on the
+    data register, qubits 0..k-1.
+
+    |0..0> maps to sum_i rhs_i |i> through a binary tree of
+    polarity-controlled Y rotations.
+    """
+    v = np.asarray(rhs, dtype=float)
+    k = v.size.bit_length() - 1
+    if v.ndim != 1 or k < 1 or v.size != 2**k:
+        raise HhlError(f"rhs length {v.size} is not a power of two of at least 2")
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # also rejects NaN
+        raise HhlError("rhs must be normalized")
+
+    ops: list[GateOp] = []
+    _encode_subtree(v, k - 1, [], ops)
+    return Circuit(k, tuple(ops))
+
+
+def _encode_subtree(sub: np.ndarray, qubit: int, controls: list[tuple[int, int]], ops: list[GateOp]) -> None:
+    """Append the rotations that encode `sub` on qubits qubit..0 under the
+    (qubit, state) `controls`, depth first with the left half first."""
+    half = sub.size // 2
+    left, right = sub[:half], sub[half:]
+    if half == 1:
+        angle = 2.0 * math.atan2(right[0], left[0])
+    else:
+        left_norm, right_norm = float(np.linalg.norm(left)), float(np.linalg.norm(right))
+        angle = 2.0 * math.atan2(right_norm, left_norm)
+    if abs(angle) > 1e-15:
+        ctrl_qubits = tuple(c for c, _ in controls)
+        ctrl_states = tuple(s for _, s in controls)
+        ops.append(cry(angle, qubit, ctrl_qubits, ctrl_states))
+    if half == 1:
+        return
+    if left_norm > 0.0:
+        _encode_subtree(left, qubit - 1, controls + [(qubit, 0)], ops)
+    if right_norm > 0.0:
+        _encode_subtree(right, qubit - 1, controls + [(qubit, 1)], ops)
 
 
 # ---------------------------------------------------------------------------

@@ -22,24 +22,23 @@ from qlma.hhl import (
     hhl_gate_tally,
     hhl_solve,
     _apply_controlled_block,
+    _estimation_input,
     _hhl_lambda_bound,
     _inversion_table,
     _nearest_unitary,
     _next_power_of_two,
-    _readout_circuits,
     _renormalize,
     _squaring_chain,
     project_solution,
     spectral_bound,
-    state_preparation_circuit,
 )
 from qlma.optimizer import hhl_system
 from qlma.sim import (
     Circuit,
+    GateOp,
     StateVector,
     apply_circuit,
     apply_gate,
-    apply_passes,
     gate_counts,
     gate_matrix,
     h,
@@ -53,7 +52,14 @@ from qlma.trotter import (
     inverse_qft_circuit,
 )
 
-from reference import inversion_rotation_circuit, minimal_hhl_circuit, one_openblas_thread, openblas_core, qpe_circuit
+from reference import (
+    inversion_rotation_circuit,
+    minimal_hhl_circuit,
+    one_openblas_thread,
+    openblas_core,
+    qpe_circuit,
+    state_preparation_circuit,
+)
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -159,8 +165,13 @@ def test_hermitian_problem_rejects_non_finite_matrix(bad):
         ([[math.nan, 0.0], [0.0, 1.0]], [1.0, 0.0], "^matrix has non-finite entries$"),
         (np.ones((2, 3)), [1.0, 0.0], "^matrix must be square$"),
         (np.eye(2), [1.0, 0.0, 0.0], "^rhs length does not match the matrix$"),
+        ([[2.0, 1j], [-1j, 2.0]], [1.0, 0.0], "^matrix is complex$"),
+        (np.eye(2), [1.0, 1j], "^rhs is complex$"),
     ],
-    ids=["nan-rhs", "inf-rhs", "minus-inf-rhs", "inf-matrix", "nan-matrix", "non-square", "rhs-length"],
+    ids=[
+        "nan-rhs", "inf-rhs", "minus-inf-rhs", "inf-matrix", "nan-matrix", "non-square", "rhs-length",
+        "complex-matrix", "complex-rhs",
+    ],
 )
 def test_embed_rejects_input_it_cannot_embed_where_it_enters(matrix, rhs, message):
     for force_dilation in (False, True):
@@ -179,8 +190,13 @@ def test_embed_rejects_input_it_cannot_embed_where_it_enters(matrix, rhs, messag
         (np.ones((2, 3)), [1.0, 0.0], r"^embedded matrix of shape \(2, 3\) is not square with a power-of-two size$"),
         (np.eye(3), [1.0, 0.0, 0.0], r"^embedded matrix of shape \(3, 3\) is not square with a power-of-two size$"),
         (np.ones(4), [1.0, 0.0, 0.0, 0.0], r"^embedded matrix of shape \(4,\) is not square with a power-of-two size$"),
+        ([[2.0, 1j], [-1j, 2.0]], [1.0, 0.0], "^embedded matrix is complex$"),
+        (np.eye(2), [1.0, 1j], "^embedded rhs is complex$"),
     ],
-    ids=["nan-rhs", "inf-rhs", "short-rhs", "row-rhs", "non-hermitian", "non-square", "size-3", "one-dimensional"],
+    ids=[
+        "nan-rhs", "inf-rhs", "short-rhs", "row-rhs", "non-hermitian", "non-square", "size-3", "one-dimensional",
+        "complex-matrix", "complex-rhs",
+    ],
 )
 def test_hermitian_problem_rejects_a_bad_field_by_name(matrix, rhs, message):
     with pytest.raises(HhlError, match=message):
@@ -257,8 +273,14 @@ def test_preparation_leaves_no_cyclic_garbage():
 
 
 def test_preparation_rejects_unnormalized():
-    with pytest.raises(HhlError):
-        state_preparation_circuit(np.array([1.0, 1.0]))
+    """The reference and the package's own entry, reached by the solve and by
+    the tally, reject the same rhs with the same message."""
+    for rhs in ([1.0, 1.0], [0.6, -0.6], [0.0, 0.0], [1.0 + 1e-8, 0.0], [0.5, 0.0, 0.0, -0.5]):
+        rhs = np.array(rhs)
+        problem = HermitianProblem(np.eye(rhs.size), rhs, 1.0, rhs.size)
+        for call, arg in ((state_preparation_circuit, rhs), (hhl_solve, problem), (hhl_gate_tally, problem)):
+            with pytest.raises(HhlError, match="^rhs must be normalized$"):
+                call(arg)
 
 
 def test_preparation_rejects_nan():
@@ -268,8 +290,15 @@ def test_preparation_rejects_nan():
 
 @pytest.mark.parametrize("size", [1, 3, 6])
 def test_preparation_rejects_a_length_that_is_no_power_of_two(size):
-    with pytest.raises(HhlError, match=f"rhs length {size} is not a power of two of at least 2"):
+    message = f"^rhs length {size} is not a power of two of at least 2$"
+    with pytest.raises(HhlError, match=message):
         state_preparation_circuit(np.full(size, 1.0 / math.sqrt(size)))
+    if size == 1:  # a 1x1 system is the one such rhs a HermitianProblem holds
+        for matrix, rhs in (([[1.0]], [1.0]), ([[-3.0]], [-1.0]), ([[0.5]], [1.0])):
+            problem = HermitianProblem(np.array(matrix), np.array(rhs), 1.0, 1)
+            for call in (hhl_solve, hhl_gate_tally):
+                with pytest.raises(HhlError, match=message):
+                    call(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -583,26 +612,76 @@ def test_gate_tally_counts_the_materialized_pipeline(dim, m, slices, order, iden
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_grown_hadamard_layer_bytes_equal_the_full_layer(k):
-    """hhl_solve's first Hadamards, each on the buffer's prefix up to its
-    phase qubit, give the bytes of the Hadamard layer on the zero-extended
-    state, signed zeros included, and leave the rest of the buffer zero."""
+    """hhl_solve's closed-form start of phase estimation gives the bytes of
+    the Hadamard layer, run by apply_circuit on the encoded |b> zero-extended
+    to the phase qubits, signed zeros included."""
     rng = np.random.default_rng(k)
-    data = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
-    data /= np.linalg.norm(data)
-    data.real[rng.random(2**k) < 0.3] = rng.choice([0.0, -0.0])
-    data.imag[rng.random(2**k) < 0.3] = -0.0
-    data /= np.linalg.norm(data)
+    rhs = rng.normal(size=2**k)
+    rhs[rng.random(2**k) < 0.3] = 0.0
+    rhs[rng.integers(2**k)] = -1.0
+    rhs /= np.linalg.norm(rhs)
+    encoded = apply_circuit(StateVector.zero(k), state_preparation_circuit(rhs)).amplitudes
     for m in range(1, 8):
-        grow_hadamards, _, _, hadamards = _readout_circuits(k, m)
-        amps = np.zeros(2 ** (k + m + 1), dtype=complex)
-        amps[: 2**k] = data
-        for circuit in grow_hadamards:
-            apply_passes(amps[: 2**circuit.n_qubits], circuit)
         extended = np.zeros(2 ** (k + m), dtype=complex)
-        extended[: 2**k] = data
+        extended[: 2**k] = encoded
+        hadamards = Circuit(k + m, tuple(h(q) for q in range(k, k + m)))
         full = apply_circuit(StateVector(k + m, extended), hadamards).amplitudes
-        assert amps[: 2 ** (k + m)].tobytes() == full.tobytes()
-        assert amps[2 ** (k + m) :].tobytes() == bytes(16 * 2 ** (k + m))
+        assert _estimation_input(rhs, m).astype(complex).tobytes() == full.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    m=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 0.9),
+    zero_half=st.booleans(),
+    uniform=st.just(False),
+)
+@example(k=1, m=0, seed=0, zeros=0.0, zero_half=False, uniform=True)
+@example(k=5, m=7, seed=0, zeros=0.0, zero_half=False, uniform=True)
+def test_estimation_input_bytes_equal_the_reference_encoding_and_hadamards(k, m, seed, zeros, zero_half, uniform):
+    """hhl_solve's closed-form |b> (x) |+>^m, as complex, has the bytes of the
+    reference encoding's ops and a Hadamard per phase qubit run by
+    apply_circuit from |0...0>, signed zeros included.  The vectors have
+    negative entries and zeros, some a zero half at any level of the encoding
+    tree (where a rotation is skipped but its block keeps its amplitude)."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**k) * (rng.random(2**k) >= zeros)
+    v[rng.integers(2**k)] = rng.choice([-1.0, 1.0])
+    if zero_half:
+        half = 2 ** int(rng.integers(k))
+        start = half * int(rng.integers(2**k // half))
+        v[start : start + half] = 0.0
+        v[(start + half) % 2**k] = rng.choice([-1.0, 1.0])  # outside the zeroed half
+    if uniform:
+        v = np.ones(2**k)
+    v /= np.linalg.norm(v)
+    n = k + m
+    ops = state_preparation_circuit(v).ops + tuple(h(q) for q in range(k, n))
+    expected = apply_circuit(StateVector.zero(n), Circuit(n, ops)).amplitudes
+    assert _estimation_input(v, m).astype(complex).tobytes() == expected.tobytes()
+
+
+def test_a_warm_solve_builds_no_simulator_op(monkeypatch):
+    """A second solve at the same k and m, of another system, constructs no
+    GateOp and no Circuit: its circuits are cached per register size, and
+    the state phase estimation starts from is computed in closed form."""
+    rng = np.random.default_rng(12)
+    problems = [embed_problem(a + a.T, rng.normal(size=12), force_dilation=True) for a in rng.normal(size=(2, 12, 12))]
+    config = HhlConfig(n_phase_qubits=3)
+    hhl_solve(problems[0], config)
+    built = {GateOp: 0, Circuit: 0}
+    for cls in built:
+        def counting(self, cls=cls, post_init=cls.__post_init__):
+            built[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    hhl_solve(problems[1], config)
+    assert built == {GateOp: 0, Circuit: 0}
+    Circuit(1, (h(0),))  # the counters see a construction
+    assert built == {GateOp: 1, Circuit: 1}
 
 
 _components = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3, allow_nan=False)

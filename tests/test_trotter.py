@@ -15,6 +15,7 @@ from qlma.trotter import (
     decompose_hermitian,
     evolution_matrix,
     inverse_qft_circuit,
+    qft_circuit,
     slice_matrix,
 )
 
@@ -251,8 +252,10 @@ def test_iqft_unitary():
 
 
 def test_iqft_rejects_empty():
-    with pytest.raises(SimulationError):
-        inverse_qft_circuit([])
+    # the inverse gets the forward builder's check through its call
+    for build in (qft_circuit, inverse_qft_circuit):
+        with pytest.raises(SimulationError, match="^empty qubit list$"):
+            build([])
 
 
 # ---------------------------------------------------------------------------
