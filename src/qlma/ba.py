@@ -29,36 +29,36 @@ NOISE_TARGETS = ("points3d", "keypoints")  # what generate_problem jitters
 
 
 # ---------------------------------------------------------------------------
-# Quaternion helpers, generic over floats and jets.
+# Quaternion helpers, generic over floats, arrays and jets, each stacked on a leading component axis.
 # ---------------------------------------------------------------------------
 
+_MUL_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+_MUL_PARTNER = np.arange(4)[:, None] ^ np.arange(4)
+_CROSS = np.array([[1, 2, 0], [2, 0, 1]])  # a x b is a[1 2 0] * b[2 0 1] - a[2 0 1] * b[1 2 0]
+
+
 def quat_mul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
+    """Hamilton product of stacked quaternions: term t of component c is a[t] * b[t ^ c], all 16 in one product,
+    signed exactly and summed left to right as the expanded formula reads (x - y is x + (-y) in IEEE 754)."""
+    terms = jets.signed(a[:, None] * b.take(_MUL_PARTNER, 0), _MUL_SIGNS)
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def quat_from_rotvec(w):
-    """Unit quaternion of an axis-angle vector; series form near zero, chosen per element over arrays."""
-    wx, wy, wz = w
-    angle_sq = wx * wx + wy * wy + wz * wz
+    """Unit quaternion of stacked axis-angle vectors; series form near zero, chosen per element over arrays."""
+    sq3 = w * w
+    angle_sq = sq3[0:1] + sq3[1:2] + sq3[2:3]
     small, sq = angle_sq < SMALL_ANGLE_SQ, angle_sq * angle_sq
     qw, half = 1.0 - angle_sq / 8.0 + sq / 384.0, 0.5 - angle_sq / 48.0 + sq / 3840.0
-    if not np.all(small):  # the exact form divides by the angle, so it gets 1.0 where the series applies
+    if not small.all():  # the exact form divides by the angle, so it gets 1.0 where the series applies
         angle = jets.sqrt(jets.where(small, 1.0, angle_sq))
         qw, half = jets.where(small, qw, jets.cos(angle * 0.5)), jets.where(small, half, jets.sin(angle * 0.5) / angle)
-    return (qw, wx * half, wy * half, wz * half)
+    return jets.concatenate([qw, w * half])
 
 
 def quat_normalize(q):
-    qw, qx, qy, qz = q
-    inv = 1.0 / jets.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    return (qw * inv, qx * inv, qy * inv, qz * inv)
+    sq = q * q
+    return q * (1.0 / jets.sqrt(sq[0:1] + sq[1:2] + sq[2:3] + sq[3:4]))
 
 
 def rotate_by(w, q):
@@ -66,18 +66,15 @@ def rotate_by(w, q):
     return quat_normalize(quat_mul(quat_from_rotvec(w), q))
 
 
+def _cross(a, b):
+    products = a.take(_CROSS, 0) * b.take(_CROSS[::-1], 0)
+    return products[0] - products[1]
+
+
 def quat_rotate(q, v):
-    """Rotate vector v by unit quaternion q (two cross products)."""
-    qw, qx, qy, qz = q
-    vx, vy, vz = v
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    return (
-        vx + qw * tx + (qy * tz - qz * ty),
-        vy + qw * ty + (qz * tx - qx * tz),
-        vz + qw * tz + (qx * ty - qy * tx),
-    )
+    """Rotate stacked vectors v by unit quaternions q (two cross products)."""
+    t = 2.0 * _cross(q[1:4], v)
+    return v + q[0:1] * t + _cross(q[1:4], t)
 
 
 def quat_angle(q) -> float:
@@ -173,28 +170,26 @@ class Scene:
 
     def moved(self, increment: np.ndarray) -> Scene:
         """The scene after a step laid out as theta: rotation increments compose onto the quaternions."""
-        cams = []
-        for j, cam in enumerate(self.cameras):
-            quat = np.array(rotate_by(tuple(increment[6 * j : 6 * j + 3]), tuple(cam.quaternion)))
-            pos = cam.position + increment[6 * j + 3 : 6 * j + 6]
-            cams.append(Camera(quat, pos, cam.focal, cam.principal_point.copy()))
+        steps = increment[: self.n_camera_params].reshape(-1, 6)
+        quats = rotate_by(steps[:, 0:3].T, np.array([c.quaternion for c in self.cameras]).reshape(-1, 4).T)
+        cams = [Camera(q, c.position + s[3:6], c.focal, c.principal_point.copy())
+                for c, q, s in zip(self.cameras, quats.T, steps)]
         points = self.points + increment[self.n_camera_params :].reshape(-1, 3)
         return Scene(points, cams, self.pairs, self.keypoints)
 
 
 def _project_generic(quaternion, position, focal, principal_point, point):
-    """Pinhole projection, generic over floats, arrays and jets."""
-    d = (point[0] - position[0], point[1] - position[1], point[2] - position[2])
-    xc, yc, zc = quat_rotate(quaternion, d)
-    if np.any(zc <= 0.0):
+    """Pinhole projection of stacked points to stacked (u, v), generic over floats, arrays and jets."""
+    cam = quat_rotate(quaternion, point - position)
+    if np.any(cam[2:3] <= 0.0):
         raise ProjectionError("point is on or behind the camera plane")
-    return (focal * xc / zc + principal_point[0], focal * yc / zc + principal_point[1])
+    return focal * cam[0:2] / cam[2:3] + principal_point
 
 
 def project(camera: Camera, point) -> np.ndarray:
     """Project a world point (3,) or points (N, 3) to (2,) or (N, 2); raises behind the camera."""
-    uv = _project_generic(*Camera.fields_of(camera.vector), np.asarray(point, dtype=float).T)
-    return np.stack(uv, axis=-1)
+    point = np.asarray(point, dtype=float).T
+    return _project_generic(*Camera.fields_of(camera.vector.reshape(10, *[1] * (point.ndim - 1))), point).T
 
 
 def _observing_cameras(scene: Scene):
@@ -205,8 +200,8 @@ def _observing_cameras(scene: Scene):
 
 def total_cost(scene: Scene) -> float:
     """Sum over observations of the Euclidean reprojection distance."""
-    u, v = _project_generic(*_observing_cameras(scene), scene.points[scene.pairs[:, 0]].T)
-    dist = np.sqrt((scene.keypoints[:, 0] - u) ** 2 + (scene.keypoints[:, 1] - v) ** 2)
+    sq = (scene.keypoints.T - _project_generic(*_observing_cameras(scene), scene.points[scene.pairs[:, 0]].T)) ** 2
+    dist = np.sqrt(sq[0] + sq[1])
     return sum(dist.tolist(), 0.0)  # one by one in observation order from 0.0; np.sum rounds differently
 
 
@@ -219,12 +214,12 @@ def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray,
     nc = scene.n_camera_params
     pt, cam = scene.pairs.T
     quaternion, _, focal, principal_point = _observing_cameras(scene)
-    local = jets.variables([*theta[:nc].reshape(-1, 6)[cam].T, *theta[nc:].reshape(-1, 3)[pt].T])
+    local = jets.variables(np.vstack([theta[:nc].reshape(-1, 6)[cam].T, theta[nc:].reshape(-1, 3)[pt].T]))
     uv = _project_generic(rotate_by(local[0:3], quaternion), local[3:6], focal, principal_point, local[6:9])
-    r = (np.stack([u.value for u in uv], axis=1) - scene.keypoints).ravel()
+    r = (uv.value.T - scene.keypoints).ravel()
     cols = np.hstack([6 * cam[:, None] + np.arange(6), nc + 3 * pt[:, None] + np.arange(3)]).repeat(2, axis=0)
     jac = np.zeros((r.size, scene.n_params))
-    jac[np.arange(r.size)[:, None], cols] = np.stack([u.partials.T for u in uv], axis=1).reshape(-1, 9)
+    jac[np.arange(r.size)[:, None], cols] = uv.partials.transpose(2, 1, 0).reshape(-1, 9)
     return r, jac
 
 
@@ -407,7 +402,7 @@ def generate_problem(
             axis = rng.normal(size=3)
             axis /= _norm(axis)
             dangle = rng.uniform(-camera_rotation_noise, camera_rotation_noise) * quat_angle(cam.quaternion)
-            quat = np.array(rotate_by(tuple(axis * dangle), tuple(cam.quaternion)))
+            quat = rotate_by(axis * dangle, cam.quaternion)
             pos = cam.position * (1.0 + rng.uniform(-camera_position_noise, camera_position_noise, size=3))
             candidate = Camera(quat, pos, cam.focal, cam.principal_point.copy())
             if _in_front([candidate], points):

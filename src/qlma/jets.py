@@ -1,10 +1,12 @@
 """First-order jets: a value plus its partials over a parameter block.
 
 Arithmetic propagates derivatives by the chain rule, so any function built
-from these operations yields exact analytic partials.  Floats and arrays of
-shape (B,) mix in as constants.  A value is a float, with partials of shape
-(n, 1), or an array of shape (B,), with partials (n, B): B jets evaluated
-elementwise.
+from these operations yields exact analytic partials.  Floats and arrays mix
+in as constants.  Partials are laid out (n,) + value.shape, or (n, 1) for a
+float value.  A leading component axis stacks a vector: the quaternions of B
+observations are one jet with value (4, B) and partials (n, 4, B), and
+indexing acts on both alike.  A jet times -1.0 is not an exact negation (its
+partials get value * 0 added); `signed` negates value and partials alike.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ class Jet:
     partials: np.ndarray
 
     __array_ufunc__ = None  # numpy operators defer to the reflected Jet operators
+
+    def __getitem__(self, index):
+        index = index if isinstance(index, tuple) else (index,)
+        return Jet(self.value[index], self.partials[(slice(None), *index)])
+
+    def take(self, indices, axis=0):  # ndarray.take, for a permutation of components in generic code
+        return Jet(self.value.take(indices, axis), self.partials.take(indices, axis + 1))
 
     def __add__(self, other):
         v, p = _split(other)
@@ -67,7 +76,7 @@ class Jet:
 
 def _split(x):
     """Value and partials of a jet.  A constant's partials are zero: the scalar 0.0
-    for a number, so no array is made; for an array, zeros of its shape (B,), so
+    for a number, so no array is made; for an array, zeros of its shape, so
     that a float jet's (n, 1) partials broadcast to the (n, B) of an array jet."""
     if isinstance(x, Jet):
         return x.value, x.partials
@@ -86,10 +95,23 @@ def _value(x) -> float:
     return x.value if isinstance(x, Jet) else float(x)
 
 
-def variables(values) -> list[Jet]:
-    """Seed one jet per entry with identity partials; an array entry seeds an array jet."""
-    eye = np.eye(len(values))
-    return [Jet(float(v) if np.ndim(v) == 0 else v, eye[i, :, None].repeat(np.size(v), 1)) for i, v in enumerate(values)]
+def variables(values: np.ndarray) -> Jet:
+    """One stacked jet of n components, `values` of shape (n,) or (n, B), seeded with identity partials."""
+    return Jet(values, np.multiply.outer(np.eye(len(values)), np.ones(values.shape[1:])))
+
+
+def concatenate(parts):
+    """Jets, or constants, joined along the component axis."""
+    if isinstance(parts[0], Jet):
+        return Jet(np.concatenate([x.value for x in parts]), np.concatenate([x.partials for x in parts], axis=1))
+    return np.concatenate(parts)
+
+
+def signed(x, signs):
+    """x times +-1 per leading component (`signs` spans x's leading axes), value and partials alike."""
+    value = x.value if isinstance(x, Jet) else x
+    signs = signs.reshape(signs.shape + (1,) * (value.ndim - signs.ndim))
+    return Jet(value * signs, x.partials * signs) if isinstance(x, Jet) else value * signs
 
 
 def sqrt(x):
@@ -98,27 +120,29 @@ def sqrt(x):
         if np.count_nonzero(root == 0.0):
             raise ZeroDivisionError("jet sqrt at zero has no derivative")
         return Jet(root, x.partials / (2.0 * root))
-    return math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def _libm(f, x):  # per element for an array: numpy's vectorized sin and cos may round differently
-    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape) if isinstance(x, np.ndarray) else f(x)
 
 
 def sin(x):
     if isinstance(x, Jet):
         return Jet(_libm(math.sin, x.value), _libm(math.cos, x.value) * x.partials)
-    return math.sin(x)
+    return _libm(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, Jet):
         return Jet(_libm(math.cos, x.value), -_libm(math.sin, x.value) * x.partials)
-    return math.cos(x)
+    return _libm(math.cos, x)
 
 
 def where(cond, a, b):
-    """a where cond holds and b elsewhere: per element over array jets, whole for a float or scalar jet."""
+    """a where cond holds and b elsewhere: per element for an array cond, whole for a scalar one."""
     if np.ndim(cond) == 0:
         return a if cond else b
-    return Jet(*(np.where(cond, x, y) for x, y in zip(_split(a), _split(b))))  # value, then partials
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        return Jet(*(np.where(cond, x, y) for x, y in zip(_split(a), _split(b))))  # value, then partials
+    return np.where(cond, a, b)

@@ -5,9 +5,11 @@ state it prepares in closed form), the product formula's gate form (the
 package runs its matrix form only), the phase-estimation circuit, the
 eigenvalue inversion's gate form (the package computes its rotation
 matrices from C/lam), the three-qubit textbook instance of the linear
-solver, and, for the pinned digests, the name of the OpenBLAS kernel they
-are recorded per and a pin to the one OpenBLAS thread they are recorded
-with."""
+solver, the per-component jet seeding, quaternion helpers and pinhole
+projection (the package stacks each quaternion and 3-vector on one
+component axis), and,
+for the pinned digests, the name of the OpenBLAS kernel they are recorded
+per and a pin to the one OpenBLAS thread they are recorded with."""
 
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ import os
 
 import numpy as np
 
+from qlma import jets
+from qlma.ba import SMALL_ANGLE_SQ, ProjectionError
 from qlma.hhl import HhlError, bin_phase
 from qlma.optimizer import ConvergenceTrace, IterationRecord
 from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cry, cu, cx, dagger, h, u
@@ -56,6 +60,75 @@ def one_openblas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(previous)
+
+
+# ---------------------------------------------------------------------------
+# Quaternion helpers and projection, one component at a time, generic over floats, arrays and jets.
+# ---------------------------------------------------------------------------
+
+def component_variables(values) -> list[jets.Jet]:
+    """Seed one jet per entry with identity partials; an array entry seeds an array jet."""
+    eye = np.eye(len(values))
+    return [
+        jets.Jet(float(v) if np.ndim(v) == 0 else v, eye[i, :, None].repeat(np.size(v), 1)) for i, v in enumerate(values)
+    ]
+
+
+def quat_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def quat_from_rotvec(w):
+    """Unit quaternion of an axis-angle vector; series form near zero, chosen per element over arrays."""
+    wx, wy, wz = w
+    angle_sq = wx * wx + wy * wy + wz * wz
+    small, sq = angle_sq < SMALL_ANGLE_SQ, angle_sq * angle_sq
+    qw, half = 1.0 - angle_sq / 8.0 + sq / 384.0, 0.5 - angle_sq / 48.0 + sq / 3840.0
+    if not np.all(small):  # the exact form divides by the angle, so it gets 1.0 where the series applies
+        angle = jets.sqrt(jets.where(small, 1.0, angle_sq))
+        qw, half = jets.where(small, qw, jets.cos(angle * 0.5)), jets.where(small, half, jets.sin(angle * 0.5) / angle)
+    return (qw, wx * half, wy * half, wz * half)
+
+
+def quat_normalize(q):
+    qw, qx, qy, qz = q
+    inv = 1.0 / jets.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    return (qw * inv, qx * inv, qy * inv, qz * inv)
+
+
+def rotate_by(w, q):
+    """The rotation q followed by the axis-angle rotation w, R(w) * R(q), as a renormalized quaternion."""
+    return quat_normalize(quat_mul(quat_from_rotvec(w), q))
+
+
+def quat_rotate(q, v):
+    """Rotate vector v by unit quaternion q (two cross products)."""
+    qw, qx, qy, qz = q
+    vx, vy, vz = v
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    return (
+        vx + qw * tx + (qy * tz - qz * ty),
+        vy + qw * ty + (qz * tx - qx * tz),
+        vz + qw * tz + (qx * ty - qy * tx),
+    )
+
+
+def project_generic(quaternion, position, focal, principal_point, point):
+    """Pinhole projection, generic over floats, arrays and jets."""
+    d = (point[0] - position[0], point[1] - position[1], point[2] - position[2])
+    xc, yc, zc = quat_rotate(quaternion, d)
+    if np.any(zc <= 0.0):
+        raise ProjectionError("point is on or behind the camera plane")
+    return (focal * xc / zc + principal_point[0], focal * yc / zc + principal_point[1])
 
 
 _PAULI_1Q = {

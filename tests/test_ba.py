@@ -11,27 +11,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    component_variables,
+    project_generic,
+    quat_from_rotvec,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
+    rotate_by,
+)
 
-from qlma import jets
+from qlma import ba, jets
 from qlma.ba import (
     Camera,
     NormalEquations,
     ProjectionError,
     Scene,
     _norm,
-    _project_generic,
     back_substitute,
     build_normal_equations,
     generate_problem,
     load_problem,
     project,
     quat_angle,
-    quat_from_rotvec,
-    quat_mul,
-    quat_normalize,
-    quat_rotate,
     residuals_and_jacobian,
-    rotate_by,
     save_problem,
     schur_reduce,
     total_cost,
@@ -43,14 +46,14 @@ from qlma.ba import (
 # ---------------------------------------------------------------------------
 
 def test_jet_square_value_and_partial():
-    (xj,) = jets.variables([3.0])
+    (xj,) = component_variables([3.0])
     y = xj * xj
     assert y.value == 9.0
     assert y.partials[0] == 6.0
 
 
 def test_jet_chain_rule_through_composition():
-    (xj,) = jets.variables([0.7])
+    (xj,) = component_variables([0.7])
     y = jets.sin(xj * xj) / (1.0 + jets.cos(xj))
     x = 0.7
     expected = (math.cos(x * x) * 2 * x * (1 + math.cos(x)) + math.sin(x * x) * math.sin(x)) / (
@@ -60,7 +63,7 @@ def test_jet_chain_rule_through_composition():
 
 
 def test_jet_division_and_sqrt():
-    a, b = jets.variables([2.0, 5.0])
+    a, b = component_variables([2.0, 5.0])
     y = jets.sqrt(a / b)
     h = 1e-7
     fd_a = (math.sqrt((2 + h) / 5) - math.sqrt((2 - h) / 5)) / (2 * h)
@@ -70,12 +73,12 @@ def test_jet_division_and_sqrt():
 
 
 def test_jet_comparisons_use_values():
-    (xj,) = jets.variables([1.5])
+    (xj,) = component_variables([1.5])
     assert xj > 1.0 and xj <= 1.5 and not (xj < 0)
 
 
 def test_jet_reflected_operators():
-    (xj,) = jets.variables([4.0])
+    (xj,) = component_variables([4.0])
     y = 1.0 - xj
     assert (y.value, y.partials[0]) == (-3.0, -1.0)
     z = 2.0 / xj
@@ -91,21 +94,66 @@ def test_array_jet_equals_per_element_scalar_jets():
     def f(a, x, y):
         return jets.sqrt(a * y) + (x - a) / y - 2.0 / (x * x + 1.0) + 3.0 * a
 
-    a, x, y = jets.variables([0.8, xs, ys])
+    a, x, y = component_variables([0.8, xs, ys])
     batched = f(a, x, y)
     assert batched.value.shape == (3,) and batched.partials.shape == (3, 3)
     for k in range(3):
-        scalar = f(*jets.variables([0.8, xs[k], ys[k]]))
+        scalar = f(*component_variables([0.8, xs[k], ys[k]]))
         assert batched.value[k] == scalar.value
         assert np.array_equal(batched.partials[:, k], scalar.partials[:, 0])
 
 
 def test_array_jet_zero_divisor_raises():
-    a, x = jets.variables([1.0, np.array([2.0, 0.0])])
+    a, x = component_variables([1.0, np.array([2.0, 0.0])])
     with pytest.raises(ZeroDivisionError):
         a / x
     with pytest.raises(ZeroDivisionError):
         jets.sqrt(x)
+
+
+@pytest.mark.parametrize("function", ["sqrt", "sin", "cos"])
+def test_jet_functions_map_a_plain_array_to_an_array_per_element(function):
+    x = np.array([[0.0, -0.0, 4.0], [9.0, 1e-300, 2.25]])
+    out = getattr(jets, function)(x)
+    assert type(out) is np.ndarray and out.shape == x.shape
+    assert out.tobytes() == np.array([[getattr(math, function)(v) for v in row] for row in x.tolist()]).tobytes()
+    if function != "sqrt":  # a stacked jet's 2-D value takes the same per-element path (sqrt has no derivative at 0)
+        assert getattr(jets, function)(jets.variables(x)).value.tobytes() == out.tobytes()
+
+
+def test_where_without_a_jet_operand_gives_an_array():
+    cond = np.array([[True, False], [False, True]])
+    a, b = np.array([[1.0, -0.0], [2.0, -0.0]]), np.array([[0.0, -5.0], [-0.0, 0.0]])
+    out = jets.where(cond, a, b)
+    assert type(out) is np.ndarray and out.tobytes() == np.array([[1.0, -5.0], [-0.0, -0.0]]).tobytes()
+    assert isinstance(jets.where(cond, a, jets.Jet(b, np.zeros((1, 2, 2)))), jets.Jet)
+
+
+def test_stacked_jet_indexing_keeps_the_component_axis():
+    local = jets.variables(np.vstack([np.arange(6.0).reshape(3, 2), np.ones((2, 2))]))
+    w, p = local[0:3], local[3:5]
+    assert w.partials.shape == (5, 3, 2) and p.partials.shape == (5, 2, 2)
+    assert np.array_equal(w.partials[:, :, 1], np.eye(5)[:, 0:3])
+    assert np.array_equal(p.partials[:, :, 0], np.eye(5)[:, 3:5])
+    first, swapped = w[0:1], w.take(np.array([2, 0]), 0)
+    assert first.value.shape == (1, 2) and first.partials.shape == (5, 1, 2)
+    assert np.array_equal(swapped.value, w.value[[2, 0]]) and np.array_equal(swapped.partials, w.partials[:, [2, 0]])
+    joined = jets.concatenate([first, swapped])
+    assert joined.value.shape == (3, 2) and np.array_equal(joined.partials[:, 1:], swapped.partials)
+
+
+def test_signed_negates_value_and_partials_exactly():
+    # times -1.0, a jet's partials become value * 0 + (-1.0) * partials: +0.0 where the negation has -0.0
+    jet = jets.Jet(np.array([2.0, -3.0]), np.array([[0.0, -0.0], [1.5, 0.0]]))
+    out = jets.signed(jet, np.array([-1.0, 1.0]))
+    assert out.value.tobytes() == np.array([-2.0, -3.0]).tobytes()
+    assert out.partials.tobytes() == np.array([[-0.0, -0.0], [-1.5, 0.0]]).tobytes()
+    assert (jet * -1.0).partials[0, 0].tobytes() == np.float64(0.0).tobytes()
+    stacked = jets.variables(np.array([[1.0, -0.0], [2.0, 3.0]]))
+    out = jets.signed(stacked, np.array([-1.0, 1.0]))  # signs broadcast over the trailing (B,) axis
+    assert out.value.tobytes() == np.array([[-1.0, 0.0], [2.0, 3.0]]).tobytes()
+    expected = np.concatenate([-stacked.partials[:, :1], stacked.partials[:, 1:]], axis=1)
+    assert out.partials.tobytes() == expected.tobytes()
 
 
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -149,10 +197,10 @@ def test_array_constant_gives_elementwise_jet(op, jet_first):
     def apply(c, x):
         return OPERATORS[op](x, c) if jet_first else OPERATORS[op](c, x)
 
-    out = apply(const, jets.variables([3.0, 0.25])[0])
+    out = apply(const, component_variables([3.0, 0.25])[0])
     assert isinstance(out, jets.Jet) and out.value.shape == (3,) and out.partials.shape == (2, 3)
     for k, c in enumerate(const):
-        scalar = apply(float(c), jets.variables([3.0, 0.25])[0])
+        scalar = apply(float(c), component_variables([3.0, 0.25])[0])
         assert out.value[k] == scalar.value
         assert np.array_equal(out.partials[:, k], scalar.partials[:, 0])
 
@@ -215,16 +263,80 @@ def test_array_rotate_by_bytes_match_per_element_scalar_jets(increments, quatern
     # each element takes its own branch of quat_from_rotvec, as a scalar jet would: series, exact or mixed
     w = np.array(increments).T
     q = np.array([quaternion] * len(increments)).T * np.linspace(0.5, 1.5, len(increments))  # one per element
-    batched = rotate_by(jets.variables(w), q)
+    batched = ba.rotate_by(jets.variables(w), q)
     for k in range(len(increments)):
-        scalar = rotate_by(jets.variables(w[:, k]), tuple(q[:, k]))
-        assert [_jet_bytes(c, k) for c in batched] == [_jet_bytes(c) for c in scalar]
+        scalar = rotate_by(component_variables(w[:, k]), tuple(q[:, k]))
+        assert [_jet_bytes(batched[c], k) for c in range(4)] == [_jet_bytes(c) for c in scalar]
+
+
+STACKED_KINDS = ("float", "array", "float jet", "array jet")
+signed_zero = st.sampled_from([0.0, -0.0])
+quat_component = st.one_of(signed_zero, st.floats(-1.0, 1.0))
+coordinate = st.one_of(signed_zero, st.floats(-2.0, 2.0))
+
+
+def _kind_inputs(kind, blocks):
+    """Per-component and stacked forms of (k, B) blocks as one kind of input: the float kinds take column 0,
+    and the jet kinds seed every block's components together, so their partials span all of them."""
+    blocks = [b[:, 0] for b in blocks] if kind.startswith("float") else blocks
+    if not kind.endswith("jet"):
+        return [tuple(b.tolist()) if kind == "float" else tuple(b) for b in blocks], blocks
+    values, ends = np.concatenate(blocks), np.cumsum([len(b) for b in blocks])
+    flat, stacked = component_variables(values), jets.variables(values)
+    spans = [slice(end - len(b), end) for b, end in zip(blocks, ends)]
+    return [tuple(flat[span]) for span in spans], [stacked[span] for span in spans]
+
+
+def _component_bytes(components):
+    """Value bytes, and partials bytes for a jet, of each component in turn."""
+    return [
+        (np.asarray(c.value).tobytes(), c.partials.tobytes()) if isinstance(c, jets.Jet) else np.asarray(c).tobytes()
+        for c in components
+    ]
+
+
+def _assert_same_bytes(per_component, stacked):
+    assert _component_bytes(per_component) == _component_bytes(stacked[k] for k in range(len(per_component)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(STACKED_KINDS), size=st.integers(1, 4), data=st.data())
+def test_stacked_helpers_bytes_match_the_per_component_reference(kind, size, data):
+    # floats, arrays, float jets and array jets; series, exact and (over arrays) mixed branches; signed zeros
+    size = 1 if kind.startswith("float") else size
+
+    def draw_columns(strategy):  # one drawn column per element: (components, size), or (size,) for a number
+        return np.array(data.draw(st.lists(strategy, min_size=size, max_size=size))).T
+
+    quaternion = st.tuples(*[quat_component] * 4).filter(lambda q: sum(c * c for c in q) > 0.01)
+    vector = st.tuples(*[coordinate] * 3)
+    w, position, point = (draw_columns(s) for s in (rotation, vector, vector))
+    point[2] += 4.0  # mostly in front of the camera; a point behind it must raise in both forms
+    q, focal, pp = (draw_columns(s) for s in (quaternion, st.floats(0.5, 2.0), st.tuples(coordinate, coordinate)))
+    constant_kind = kind.split()[0]  # a jet kind's constants: floats or arrays
+    (q_ref, pp_ref), (q_st, pp_st) = _kind_inputs(constant_kind, [q, pp])
+    focal = float(focal[0]) if constant_kind == "float" else focal
+    (w_ref, position_ref, point_ref), (w_st, position_st, point_st) = _kind_inputs(kind, [w, position, point])
+
+    _assert_same_bytes(quat_from_rotvec(w_ref), ba.quat_from_rotvec(w_st))
+    _assert_same_bytes(quat_normalize(q_ref), ba.quat_normalize(q_st))
+    rotated_ref, rotated_st = rotate_by(w_ref, q_ref), ba.rotate_by(w_st, q_st)
+    _assert_same_bytes(rotated_ref, rotated_st)
+    _assert_same_bytes(quat_mul(rotated_ref, rotated_ref), ba.quat_mul(rotated_st, rotated_st))
+    _assert_same_bytes(quat_rotate(rotated_ref, point_ref), ba.quat_rotate(rotated_st, point_st))
+    try:
+        uv_ref = project_generic(rotated_ref, position_ref, focal, pp_ref, point_ref)
+    except ProjectionError:
+        with pytest.raises(ProjectionError):
+            ba._project_generic(rotated_st, position_st, focal, pp_st, point_st)
+        return
+    _assert_same_bytes(uv_ref, ba._project_generic(rotated_st, position_st, focal, pp_st, point_st))
 
 
 @pytest.mark.parametrize("function", ["sin", "cos"])
 def test_array_jet_sin_and_cos_are_libm_per_element(function):
     x = np.array([0.0, -0.0, 1e-300, 5e-5, 0.5, -1.25, 3.0, 1e5, -7.77e7])
-    (jet,) = jets.variables([x])
+    (jet,) = component_variables([x])
     out = getattr(jets, function)(jet)
     derivative = {"sin": math.cos, "cos": lambda v: -math.sin(v)}[function]
     assert out.value.tobytes() == np.array([getattr(math, function)(v) for v in x]).tobytes()
@@ -321,7 +433,7 @@ def per_observation_cost_reference(scene):
     cost = 0.0
     for (i, j), uv in zip(scene.pairs, scene.keypoints):
         cam = scene.cameras[j]
-        du, dv = _project_generic(cam.quaternion, cam.position, cam.focal, cam.principal_point, scene.points[i])
+        du, dv = project_generic(cam.quaternion, cam.position, cam.focal, cam.principal_point, scene.points[i])
         cost += math.sqrt((uv[0] - du) * (uv[0] - du) + (uv[1] - dv) * (uv[1] - dv))
     return cost
 
@@ -406,9 +518,9 @@ def per_observation_reference(scene, theta):
     for row, (i, j) in enumerate(keys):
         base = scene.cameras[j]
         cols = [*range(6 * j, 6 * j + 6), *range(nc + 3 * i, nc + 3 * i + 3)]
-        local = jets.variables(theta[cols])
+        local = component_variables(theta[cols])
         quat = quat_normalize(quat_mul(quat_from_rotvec(local[0:3]), tuple(base.quaternion)))
-        uv = _project_generic(quat, local[3:6], base.focal, tuple(base.principal_point), local[6:9])
+        uv = project_generic(quat, local[3:6], base.focal, tuple(base.principal_point), local[6:9])
         for comp, val in enumerate(uv):
             res = val - scene.keypoints[row][comp]
             r[2 * row + comp] = res.value
@@ -434,7 +546,7 @@ def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotat
             residuals_and_jacobian(scene, theta)
         return
     r, jac = residuals_and_jacobian(scene, theta)
-    assert np.array_equal(r, expected[0]) and np.array_equal(jac, expected[1])
+    assert r.tobytes() == expected[0].tobytes() and jac.tobytes() == expected[1].tobytes()
 
 
 def test_jacobian_bytes_match_pinned_digests():
@@ -452,6 +564,24 @@ def test_jacobian_bytes_match_pinned_digests():
     assert hashlib.sha256(r.tobytes() + jac.tobytes()).hexdigest() == (
         "de1fd85bf48cc4b7600ddea1c7698556704ae683adee40f9d602c5787370cff6"
     )
+
+
+def test_moved_camera_bytes_match_pinned_digest():
+    # quaternions and positions after a step are pinned: both cameras series, one of each, both exact
+    digest = hashlib.sha256()
+    for seed in range(1, 10):
+        scene = generate_problem(seed).initial
+        rng = np.random.default_rng(seed)
+        for rotation in (
+            [0.0, -0.0, 0.0, 1e-5, -2e-5, -0.0],
+            [0.01, -0.02, 0.03, -0.0, 4e-5, 0.0],
+            [0.2, 0.1, -0.3, -0.05, 0.0, 0.07],
+        ):
+            step = rng.normal(scale=0.05, size=scene.n_params)
+            step[[0, 1, 2, 6, 7, 8]] = rotation
+            for cam in scene.moved(step).cameras:
+                digest.update(cam.quaternion.tobytes() + cam.position.tobytes())
+    assert digest.hexdigest() == "72572314a94a304ab0af39c1d0dc6a77a4af1b256330dd9a41f33b8c1c060549"
 
 
 def test_residuals_zero_at_ground_truth_without_noise():
