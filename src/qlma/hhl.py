@@ -36,7 +36,6 @@ from .sim import (
     gate_counts,
     h,
     measure_distribution,
-    ry_matrix,
 )
 from .trotter import (
     HERMITIAN_TOL,
@@ -298,6 +297,11 @@ def _readout_circuits(n_data: int, n_phase: int) -> tuple[Circuit, Circuit, Circ
     phase_qubits, n = list(range(n_data, n_data + n_phase)), n_data + n_phase
     iqft = inverse_qft_circuit(phase_qubits)  # on qubits 0..n-1
     return iqft, Circuit(n + 1, qft_circuit(phase_qubits).ops), Circuit(n, tuple(h(q) for q in phase_qubits))
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 @functools.lru_cache(maxsize=16)

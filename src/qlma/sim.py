@@ -1,47 +1,26 @@
-"""Dense statevector simulator for a small fixed gate set.
+"""Dense statevector simulator.
 
 Qubit ordering convention, used everywhere in this package: qubit 0 is the
 least-significant bit of the amplitude index, so the basis state
 |q_{n-1} ... q_1 q_0> lives at index sum(q_k * 2**k).
 
-Gate kinds:
-    "h"    Hadamard.
-    "u"    general single-qubit rotation U(theta, phi, lam) with an extra
-           explicit phase parameter gamma, so diagonal rotations such as
-           e^{-i a Z/2} are representable exactly (not just up to phase).
-    "cx"   singly-controlled Pauli flip, the only flip (no builder needs an
-           uncontrolled one); the control may trigger on |0> or |1>.
-    "cu"   singly-controlled "u"; gamma becomes a relative phase.
-    "cry"  Y-rotation with any number of polarity controls (zero controls is
-           a plain RY).  The amplitude encoding's and the eigenvalue
-           inversion's gate form, both in tests/reference.py; qlma.hhl runs
-           neither as ops (it computes their state and RY matrices), and its
-           gate tally still counts both as cry.
-
-A controlled single-qubit gate counts as a two-qubit gate in gate tallies,
-regardless of its number of controls.
+An op carries its own 2x2 matrix, so the simulator tells no gate kinds
+apart: an op's `kind` is a label that only gate tallies read.  A controlled
+single-qubit gate counts as a two-qubit gate in gate tallies, regardless of
+its number of controls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-GATE_H = "h"
-GATE_U = "u"
-GATE_CX = "cx"
-GATE_CU = "cu"
-GATE_CRY = "cry"
-
-_KINDS = (GATE_H, GATE_U, GATE_CX, GATE_CU, GATE_CRY)
-_N_PARAMS = {GATE_H: 0, GATE_U: 4, GATE_CX: 0, GATE_CU: 4, GATE_CRY: 1}
-
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-_H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_H_MATRIX = ((_SQRT2_INV, _SQRT2_INV), (_SQRT2_INV, -_SQRT2_INV))
+_X_MATRIX = ((0, 1), (1, 0))
 
 NORM_TOL = 1e-9
 
@@ -52,39 +31,36 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class GateOp:
-    """One unitary operation: a 2x2 action on `target`, gated by `controls`.
+    """One unitary operation: the 2x2 `matrix` on `target`, gated by `controls`.
 
-    `control_states` gives the polarity of each control (1 = filled dot,
-    0 = open circle).  Treat instances as immutable values.
+    `kind` labels the op for gate tallies only.  `control_states` gives the
+    polarity of each control (1 = filled dot, 0 = open circle).  The matrix
+    is stored as nested tuples of complex, so ops compare and hash as values.
     """
 
     kind: str
     target: int
     controls: tuple[int, ...] = ()
     control_states: tuple[int, ...] = ()
-    params: tuple[float, ...] = ()
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]] = field(kw_only=True)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise SimulationError(f"unknown gate kind {self.kind!r}")
-        if len(self.params) != _N_PARAMS[self.kind]:
-            raise SimulationError(
-                f"{self.kind} expects {_N_PARAMS[self.kind]} params, got {len(self.params)}"
-            )
+        try:
+            m = np.asarray(self.matrix, dtype=complex)
+        except (TypeError, ValueError):
+            m = None
+        if m is None or m.shape != (2, 2) or not np.isfinite(m).all():
+            raise SimulationError(f"{self.kind} matrix is not a finite 2x2")
+        object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
         if not self.control_states:
             object.__setattr__(self, "control_states", (1,) * len(self.controls))
         if len(self.control_states) != len(self.controls):
             raise SimulationError("controls and control_states lengths differ")
         if any(s not in (0, 1) for s in self.control_states):
             raise SimulationError("control states must be 0 or 1")
-        n_ctrl = len(self.controls)
-        if self.kind in (GATE_H, GATE_U) and n_ctrl:
-            raise SimulationError(f"{self.kind} takes no controls")
-        if self.kind in (GATE_CX, GATE_CU) and n_ctrl != 1:
-            raise SimulationError(f"{self.kind} takes exactly one control")
         if self.target in self.controls:
             raise SimulationError("control and target qubits overlap")
-        if len(set(self.controls)) != n_ctrl:
+        if len(set(self.controls)) != len(self.controls):
             raise SimulationError("duplicate control qubits")
 
     @property
@@ -92,81 +68,24 @@ class GateOp:
         return (self.target, *self.controls)
 
 
-def u_matrix(theta: float, phi: float, lam: float, gamma: float = 0.0) -> np.ndarray:
-    """Dense 2x2 of the general rotation, including the explicit phase."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    m = np.array(
-        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
-        dtype=complex,
-    )
-    return np.exp(1j * gamma) * m
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def gate_matrix(op: GateOp) -> np.ndarray:
-    """The 2x2 matrix applied to the target on the active control branch."""
-    if op.kind == GATE_CX:
-        return _X_MATRIX
-    if op.kind == GATE_H:
-        return _H_MATRIX
-    if op.kind in (GATE_U, GATE_CU):
-        return u_matrix(*op.params)
-    return ry_matrix(op.params[0])
-
-
-# Constructors; these keep call sites terse.
-
 def h(target: int) -> GateOp:
-    return GateOp(GATE_H, target)
-
-
-def u(target: int, theta: float, phi: float, lam: float, gamma: float = 0.0) -> GateOp:
-    return GateOp(GATE_U, target, params=(theta, phi, lam, gamma))
+    return GateOp("h", target, matrix=_H_MATRIX)
 
 
 def cx(control: int, target: int, control_state: int = 1) -> GateOp:
-    return GateOp(GATE_CX, target, controls=(control,), control_states=(control_state,))
-
-
-def cu(
-    control: int,
-    target: int,
-    theta: float,
-    phi: float,
-    lam: float,
-    gamma: float = 0.0,
-    control_state: int = 1,
-) -> GateOp:
-    return GateOp(
-        GATE_CU,
-        target,
-        controls=(control,),
-        control_states=(control_state,),
-        params=(theta, phi, lam, gamma),
-    )
-
-
-def cry(
-    theta: float,
-    target: int,
-    controls: tuple[int, ...] = (),
-    control_states: tuple[int, ...] = (),
-) -> GateOp:
-    return GateOp(GATE_CRY, target, controls=tuple(controls), control_states=tuple(control_states), params=(theta,))
+    """The only flip: singly controlled, on |0> or |1> of the control."""
+    return GateOp("cx", target, controls=(control,), control_states=(control_state,), matrix=_X_MATRIX)
 
 
 def dagger(op: GateOp) -> GateOp:
-    """Inverse of a single gate op."""
-    if op.kind in (GATE_H, GATE_CX):
+    """Inverse of a single gate op: its matrix's conjugate transpose.  An op
+    whose matrix equals its own adjoint comes back unchanged, so the signs
+    of its zero imaginary parts are kept."""
+    (a, b), (c, d) = op.matrix
+    adjoint = ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+    if adjoint == op.matrix:
         return op
-    if op.kind in (GATE_U, GATE_CU):
-        theta, phi, lam, gamma = op.params
-        return GateOp(op.kind, op.target, op.controls, op.control_states, (-theta, -lam, -phi, -gamma))
-    return GateOp(op.kind, op.target, op.controls, op.control_states, (-op.params[0],))
+    return GateOp(op.kind, op.target, op.controls, op.control_states, matrix=adjoint)
 
 
 @dataclass(frozen=True)
@@ -190,7 +109,7 @@ class Circuit:
         one; computed once, so a circuit applied again costs no per-op work."""
         passes = []
         for op in self.ops:
-            rows = tuple(tuple((j, None if c == 1 else c) for j, c in enumerate(r) if c != 0) for r in gate_matrix(op).tolist())
+            rows = tuple(tuple((j, None if c == 1 else c) for j, c in enumerate(r) if c != 0) for r in op.matrix)
             passes.append((*_pair_views(self.n_qubits, op), rows))
         return tuple(passes)
 
@@ -315,7 +234,7 @@ def measure_distribution(state: StateVector, qubits: list[int]) -> dict[int, flo
 
 
 def gate_counts(circuit: Circuit) -> tuple[int, int, dict[str, int]]:
-    """(one-qubit total, two-qubit total, per-kind tally).
+    """(one-qubit total, two-qubit total, tally per kind label).
 
     Any gate with at least one control lands in the two-qubit bucket; the
     two totals always sum to len(circuit.ops).

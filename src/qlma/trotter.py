@@ -21,7 +21,6 @@ from .sim import (
     Circuit,
     GateOp,
     SimulationError,
-    cu,
     cx,
     h,
     inverse_circuit,
@@ -190,8 +189,8 @@ def qft_circuit(qubits: list[int]) -> Circuit:
     for i in range(m - 1, -1, -1):
         ops.append(h(qubits[i]))
         for off in range(1, i + 1):
-            angle = math.pi / 2**off
-            ops.append(cu(qubits[i - off], qubits[i], 0.0, 0.0, angle))
+            phase = np.exp(1j * math.pi / 2**off)
+            ops.append(GateOp("cu", qubits[i], (qubits[i - off],), matrix=((1, 0), (0, phase))))
     for i in range(m // 2):
         a, b = qubits[i], qubits[m - 1 - i]
         ops.extend([cx(a, b), cx(b, a), cx(a, b)])

@@ -1,13 +1,14 @@
 """Reference forms the tests check the package against: gate and circuit
-unitaries, Pauli-string matrices, the sum of a decomposition, a reader for
-trace files, the amplitude encoding's gate form (the package computes the
-state it prepares in closed form), the product formula's gate form (the
-package runs its matrix form only), the phase-estimation circuit, the
-eigenvalue inversion's gate form (the package computes its rotation
-matrices from C/lam), the three-qubit textbook instance of the linear
-solver, the per-component jet seeding, quaternion helpers and pinhole
-projection (the package stacks each quaternion and 3-vector on one
-component axis), and,
+unitaries, the general rotations (u, cu, cry, U's matrix and its
+parameter-negating adjoint) the gate forms are built from, Pauli-string
+matrices, the sum of a decomposition, a reader for trace files, the
+amplitude encoding's gate form (the package computes the state it prepares
+in closed form), the product formula's gate form (the package runs its
+matrix form only), the phase-estimation circuit, the eigenvalue
+inversion's gate form (the package computes its rotation matrices from
+C/lam), the three-qubit textbook instance of the linear solver, the
+per-component jet seeding, quaternion helpers and pinhole projection (the
+package stacks each quaternion and 3-vector on one component axis), and,
 for the pinned digests, the name of the OpenBLAS kernel they are recorded
 per and a pin to the one OpenBLAS thread they are recorded with."""
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from qlma import jets
 from qlma.ba import SMALL_ANGLE_SQ, ProjectionError
-from qlma.hhl import HhlError, bin_phase
+from qlma.hhl import HhlError, bin_phase, ry_matrix
 from qlma.optimizer import ConvergenceTrace, IterationRecord
-from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cry, cu, cx, dagger, h, u
+from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cx, dagger, h
 from qlma.trotter import EvolutionSpec, HermitianDecomposition, _slice_sequence, inverse_qft_circuit
 
 
@@ -193,6 +194,42 @@ def read_trace_csv(path) -> ConvergenceTrace:
                 )
             )
     return ConvergenceTrace(problem, records)
+
+
+# ---------------------------------------------------------------------------
+# General rotations, the gate kinds of the reference gate forms.
+# ---------------------------------------------------------------------------
+
+def u_matrix(theta: float, phi: float, lam: float, gamma: float = 0.0) -> np.ndarray:
+    """Dense 2x2 of U(theta, phi, lam) times the explicit phase e^{i gamma},
+    so diagonal rotations such as e^{-i a Z/2} are exact, not just up to phase."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    m = np.array(
+        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
+        dtype=complex,
+    )
+    return np.exp(1j * gamma) * m
+
+
+def u_adjoint(theta: float, phi: float, lam: float, gamma: float = 0.0) -> tuple[float, float, float, float]:
+    """The parameters of U's inverse: (-theta, -lam, -phi, -gamma)."""
+    return -theta, -lam, -phi, -gamma
+
+
+def u(target: int, theta: float, phi: float, lam: float, gamma: float = 0.0) -> GateOp:
+    return GateOp("u", target, matrix=u_matrix(theta, phi, lam, gamma))
+
+
+def cu(
+    control: int, target: int, theta: float, phi: float, lam: float, gamma: float = 0.0, control_state: int = 1
+) -> GateOp:
+    """Singly controlled u; gamma becomes a relative phase."""
+    return GateOp("cu", target, (control,), (control_state,), matrix=u_matrix(theta, phi, lam, gamma))
+
+
+def cry(theta: float, target: int, controls: tuple[int, ...] = (), control_states: tuple[int, ...] = ()) -> GateOp:
+    """Y rotation under any number of polarity controls (none is a plain RY)."""
+    return GateOp("cry", target, tuple(controls), tuple(control_states), matrix=ry_matrix(theta))
 
 
 def minimal_hhl_circuit() -> Circuit:

@@ -40,7 +40,6 @@ from qlma.sim import (
     apply_circuit,
     apply_gate,
     gate_counts,
-    gate_matrix,
     h,
     inverse_circuit,
     measure_distribution,
@@ -684,6 +683,28 @@ def test_a_warm_solve_builds_no_simulator_op(monkeypatch):
     assert built == {GateOp: 1, Circuit: 1}
 
 
+def test_src_builds_only_hadamard_phase_and_flip_ops(monkeypatch):
+    """A cold solve and a gate tally build GateOps of the kinds h, cu and cx
+    only, the Fourier transforms' and Hadamard layers' gates; every other
+    gate form belongs to tests/reference.py."""
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(4, 4))
+    problem = embed_problem(a + a.T, rng.normal(size=4), force_dilation=True)
+    kinds = set()
+
+    def recording(self, post_init=GateOp.__post_init__):
+        kinds.add(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(GateOp, "__post_init__", recording)
+    qlma.hhl._readout_circuits.cache_clear()
+    for m in range(1, 8):
+        config = HhlConfig(n_phase_qubits=m)
+        hhl_solve(problem, config)
+        hhl_gate_tally(problem, config)
+    assert kinds == {"h", "cu", "cx"}
+
+
 _components = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -830,7 +851,7 @@ def test_solve_reuses_an_inversion_table_equal_to_a_fresh_circuit(monkeypatch):
             assert constant == j / 2**m and values.tolist() == [
                 sum(s << q for q, s in enumerate(op.control_states)) for op in fresh.ops
             ]
-            assert mats.tobytes() == np.stack([gate_matrix(op) for op in fresh.ops])[:, None].tobytes()
+            assert mats.tobytes() == np.stack([op.matrix for op in fresh.ops])[:, None].tobytes()
 
 
 @st.composite

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlma.sim import (
@@ -12,19 +12,15 @@ from qlma.sim import (
     StateVector,
     apply_circuit,
     apply_gate,
-    cry,
-    cu,
     cx,
     dagger,
     gate_counts,
-    gate_matrix,
     h,
     inverse_circuit,
     measure_distribution,
-    u,
 )
 
-from reference import circuit_unitary, op_unitary
+from reference import circuit_unitary, cry, cu, op_unitary, u, u_matrix
 
 RNG = np.random.default_rng(12345)
 
@@ -181,7 +177,7 @@ def test_inverse_circuit_round_trip():
 
 def test_gate_matrix_u_equals_expected_form():
     th, ph, lam = 0.7, -0.4, 1.1
-    m = gate_matrix(u(0, th, ph, lam))
+    m = np.array(u(0, th, ph, lam).matrix)
     c, s = math.cos(th / 2), math.sin(th / 2)
     expected = np.array(
         [[c, -np.exp(1j * lam) * s], [np.exp(1j * ph) * s, np.exp(1j * (ph + lam)) * c]]
@@ -189,13 +185,14 @@ def test_gate_matrix_u_equals_expected_form():
     assert np.allclose(m, expected)
 
 
+X = ((0, 1), (1, 0))
+
+
 def test_invalid_ops_rejected():
     with pytest.raises(SimulationError):
-        GateOp("cx", 0, controls=(0,))  # overlap
+        GateOp("cx", 0, controls=(0,), matrix=X)  # overlap
     with pytest.raises(SimulationError):
-        GateOp("h", 0, controls=(1,))  # h takes no controls
-    with pytest.raises(SimulationError):
-        GateOp("u", 0, params=(1.0,))  # wrong arity
+        GateOp("u", 0, matrix=((1.0,),))  # not a 2x2
     with pytest.raises(SimulationError):
         apply_gate(StateVector.zero(1), cx(1, 0))  # out of range
 
@@ -203,14 +200,25 @@ def test_invalid_ops_rejected():
 @pytest.mark.parametrize(
     "kind, kwargs, message",
     [
-        ("z", {}, "^unknown gate kind 'z'$"),
-        ("cx", {"controls": (1,), "control_states": (1, 0)}, "^controls and control_states lengths differ$"),
-        ("cx", {"controls": (1,), "control_states": (2,)}, "^control states must be 0 or 1$"),
-        ("cx", {}, "^cx takes exactly one control$"),
-        ("cu", {"controls": (1, 2), "params": (0.1, 0.2, 0.3, 0.4)}, "^cu takes exactly one control$"),
-        ("cry", {"controls": (1, 1), "params": (0.5,)}, "^duplicate control qubits$"),
+        ("cx", {"controls": (1,), "control_states": (1, 0), "matrix": X}, "^controls and control_states lengths differ$"),
+        ("cx", {"controls": (1,), "control_states": (2,), "matrix": X}, "^control states must be 0 or 1$"),
+        ("cry", {"controls": (1, 1), "matrix": X}, "^duplicate control qubits$"),
+        ("u", {"matrix": ((1, 0, 0), (0, 1, 0))}, "^u matrix is not a finite 2x2$"),
+        ("rz", {"matrix": ((1, 0), (0, complex(math.inf, 0)))}, "^rz matrix is not a finite 2x2$"),
+        ("cu", {"controls": (1,), "matrix": ((1, math.nan), (0, 1))}, "^cu matrix is not a finite 2x2$"),
+        ("phase", {"matrix": (("one", 0), (0, 1))}, "^phase matrix is not a finite 2x2$"),
+        ("cx", {"controls": (1,), "matrix": ((1, 0), (0,))}, "^cx matrix is not a finite 2x2$"),
     ],
-    ids=["unknown-kind", "polarity-count", "polarity-value", "cx-no-control", "cu-two-controls", "duplicate-control"],
+    ids=[
+        "polarity-count",
+        "polarity-value",
+        "duplicate-control",
+        "matrix-not-2x2",
+        "matrix-infinite",
+        "matrix-nan",
+        "matrix-not-numbers",
+        "matrix-ragged",
+    ],
 )
 def test_gate_op_names_its_fault(kind, kwargs, message):
     with pytest.raises(SimulationError, match=message):
@@ -233,7 +241,7 @@ def test_sizes_that_disagree_are_rejected():
 def mask_kernel(amps, op):
     """Reference kernel without index plans: one mask pass per control over
     all amplitudes, then the same gather, arithmetic and scatter."""
-    m = gate_matrix(op)
+    m = np.array(op.matrix)
     idx = np.arange(amps.size)
     mask = ((idx >> op.target) & 1) == 0
     for c, s in zip(op.controls, op.control_states):
@@ -254,25 +262,34 @@ def seeded_state(n, seed):
 
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-N_PARAMS = {"h": 0, "u": 4, "cx": 0, "cu": 4, "cry": 1}
 
 
 @st.composite
 def gate_ops(draw):
+    """Any label, a unitary U(theta, phi, lam) e^{i gamma} and 0..n-1 polarity
+    controls: the simulator reads only the matrix and the controls."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(sorted(N_PARAMS)))
     target = draw(st.integers(0, n - 1))
     others = draw(st.permutations([q for q in range(n) if q != target]))
-    if kind in ("h", "u"):
-        n_ctrl = 0
-    elif kind in ("cx", "cu"):
-        assume(others)
-        n_ctrl = 1
-    else:
-        n_ctrl = draw(st.integers(0, len(others)))
+    n_ctrl = draw(st.integers(0, len(others)))
     states = draw(st.lists(st.integers(0, 1), min_size=n_ctrl, max_size=n_ctrl))
-    params = draw(st.lists(angles, min_size=N_PARAMS[kind], max_size=N_PARAMS[kind]))
-    return n, GateOp(kind, target, tuple(others[:n_ctrl]), tuple(states), tuple(params))
+    matrix = u_matrix(*draw(st.tuples(angles, angles, angles, angles)))
+    return n, GateOp(draw(st.text(max_size=4)), target, tuple(others[:n_ctrl]), tuple(states), matrix=matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_ops())
+def test_dagger_is_the_exact_adjoint(drawn):
+    n, op = drawn
+    assert dagger(dagger(op)) == op
+    prod = op_unitary(dagger(op), n) @ op_unitary(op, n)
+    assert np.max(np.abs(prod - np.eye(2**n))) < 1e-12
+
+
+@pytest.mark.parametrize("op", [h(1), cx(0, 1), cx(1, 0, control_state=0)], ids=["h", "cx", "cx-open"])
+def test_dagger_returns_a_self_adjoint_op_itself(op):
+    # conjugating would flip the sign of h's zero imaginary parts
+    assert dagger(op) is op
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,7 +352,7 @@ def test_circuit_passes_are_computed_once_and_read_only():
             assert terms and all(c is None or (type(c) is complex and c not in (0, 1)) for _, c in terms)
             for j, c in terms:
                 dense[r, j] = 1 if c is None else c
-        assert np.array_equal(dense, gate_matrix(op))
+        assert np.array_equal(dense, op.matrix)
     assert passes[4][2] == (((1, None),), ((0, None),))  # a flip: each half is the other
 
 

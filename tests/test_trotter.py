@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian, schur_reduce
-from qlma.hhl import _hhl_lambda_bound, embed_problem
-from qlma.sim import SimulationError, StateVector, apply_circuit
+from qlma.hhl import _hhl_lambda_bound, _readout_circuits, embed_problem
+from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_circuit, cx, h
 from qlma.trotter import (
     EvolutionSpec,
     HermitianDecomposition,
@@ -19,7 +19,7 @@ from qlma.trotter import (
     slice_matrix,
 )
 
-from reference import circuit_unitary, pauli_string_matrix, qpe_circuit, reconstruct, trotter_circuit
+from reference import circuit_unitary, cu, pauli_string_matrix, qpe_circuit, reconstruct, trotter_circuit, u_adjoint
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -256,6 +256,40 @@ def test_iqft_rejects_empty():
     for build in (qft_circuit, inverse_qft_circuit):
         with pytest.raises(SimulationError, match="^empty qubit list$"):
             build([])
+
+
+def reference_qft(qubits: list[int], inverse: bool = False) -> Circuit:
+    """The Fourier transform with each controlled phase built as
+    cu(control, target, 0, 0, pi/2**j); inverse=True reverses the ops and
+    gives each cu the parameters of u_adjoint."""
+    m = len(qubits)
+    ops: list[GateOp] = []
+    for i in range(m - 1, -1, -1):
+        ops.append(h(qubits[i]))
+        for off in range(1, i + 1):
+            params = (0.0, 0.0, math.pi / 2**off, 0.0)
+            ops.append(cu(qubits[i - off], qubits[i], *(u_adjoint(*params) if inverse else params)))
+    for i in range(m // 2):
+        a, b = qubits[i], qubits[m - 1 - i]
+        ops.extend([cx(a, b), cx(b, a), cx(a, b)])
+    return Circuit(max(qubits) + 1, tuple(reversed(ops)) if inverse else tuple(ops))
+
+
+
+def test_fourier_transforms_keep_the_bytes_of_their_parameter_form():
+    """Every pass of the forward and inverse transforms, and of the solver's
+    readout circuits, equals that of the same circuit built from
+    cu(..., 0, 0, angle) and, for the inverse, its negated parameters; repr
+    shows the sign of a zero."""
+    for m in range(1, 12):
+        for k in range(1, 5):
+            qubits, n = list(range(k, k + m)), k + m
+            forward, inverse = reference_qft(qubits), reference_qft(qubits, inverse=True)
+            assert repr(qft_circuit(qubits)._passes) == repr(forward._passes)
+            assert repr(inverse_qft_circuit(qubits)._passes) == repr(inverse._passes)
+            expected = (inverse, Circuit(n + 1, forward.ops), Circuit(n, tuple(h(q) for q in qubits)))
+            for got, want in zip(_readout_circuits(k, m), expected):
+                assert repr(got._passes) == repr(want._passes)
 
 
 # ---------------------------------------------------------------------------
