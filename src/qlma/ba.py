@@ -45,14 +45,19 @@ def quat_mul(a, b):
 
 
 def quat_from_rotvec(w):
-    """Unit quaternion of stacked axis-angle vectors; series form near zero, chosen per element over arrays."""
+    """Unit quaternion of stacked axis-angle vectors: series form near zero, exact form elsewhere, each
+    computed only if some element takes it, and merged per element with `jets.where` only over a mixed array."""
     sq3 = w * w
     angle_sq = sq3[0:1] + sq3[1:2] + sq3[2:3]
-    small, sq = angle_sq < SMALL_ANGLE_SQ, angle_sq * angle_sq
-    qw, half = 1.0 - angle_sq / 8.0 + sq / 384.0, 0.5 - angle_sq / 48.0 + sq / 3840.0
-    if not small.all():  # the exact form divides by the angle, so it gets 1.0 where the series applies
-        angle = jets.sqrt(jets.where(small, 1.0, angle_sq))
-        qw, half = jets.where(small, qw, jets.cos(angle * 0.5)), jets.where(small, half, jets.sin(angle * 0.5) / angle)
+    small = angle_sq < SMALL_ANGLE_SQ
+    n_small, n = np.count_nonzero(small), small.size
+    if n_small or not n:  # an empty array takes the series, as every element of it is small
+        sq = angle_sq * angle_sq
+        qw, half = 1.0 - angle_sq / 8.0 + sq / 384.0, 0.5 - angle_sq / 48.0 + sq / 3840.0
+    if n_small < n:  # the exact form divides by the angle, so it gets 1.0 where the series applies
+        angle = jets.sqrt(jets.where(small, 1.0, angle_sq) if n_small else angle_sq)
+        exact = jets.cos(angle * 0.5), jets.sin(angle * 0.5) / angle
+        qw, half = (jets.where(small, qw, exact[0]), jets.where(small, half, exact[1])) if n_small else exact
     return jets.concatenate([qw, w * half])
 
 
@@ -205,6 +210,14 @@ def total_cost(scene: Scene) -> float:
     return sum(dist.tolist(), 0.0)  # one by one in observation order from 0.0; np.sum rounds differently
 
 
+def _zero_increment(n_obs: int) -> jets.Jet:
+    """`quat_from_rotvec`'s jet, bit for bit, at +0.0 increments seeded as partials 0-2 of 9 (every LM Jacobian's
+    case): value (1, 0, 0, 0) per observation, partials 0.5 at rows 0-2 of components 1-3 and +0.0 elsewhere."""
+    partials = np.zeros((9, 4, n_obs))
+    partials[[0, 1, 2], [1, 2, 3]] = 0.5
+    return jets.Jet(np.eye(4, 1).repeat(n_obs, 1), partials)
+
+
 def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked 2-vector residuals (predicted - observed) and their Jacobian.
 
@@ -215,7 +228,9 @@ def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray,
     pt, cam = scene.pairs.T
     quaternion, _, focal, principal_point = _observing_cameras(scene)
     local = jets.variables(np.vstack([theta[:nc].reshape(-1, 6)[cam].T, theta[nc:].reshape(-1, 3)[pt].T]))
-    uv = _project_generic(rotate_by(local[0:3], quaternion), local[3:6], focal, principal_point, local[6:9])
+    bits = local.value[0:3].view(np.uint64)  # all zero at +0.0 only: -0.0 gives an increment value of -0.0
+    dq = quat_from_rotvec(local[0:3]) if bits.any() else _zero_increment(len(cam))
+    uv = _project_generic(quat_normalize(quat_mul(dq, quaternion)), local[3:6], focal, principal_point, local[6:9])
     r = (uv.value.T - scene.keypoints).ravel()
     cols = np.hstack([6 * cam[:, None] + np.arange(6), nc + 3 * pt[:, None] + np.arange(3)]).repeat(2, axis=0)
     jac = np.zeros((r.size, scene.n_params))

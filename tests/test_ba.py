@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     component_variables,
@@ -534,10 +534,12 @@ def per_observation_reference(scene, theta):
     rotation=st.one_of(st.just((0.0,) * 6), st.tuples(*[st.floats(-0.05, 0.05)] * 6)),
     position=st.tuples(*[st.floats(-0.1, 0.1)] * 6),
 )
+@example(seed=3, rotation=(0.0, 0.0, 0.0, 0.01, -0.02, 0.03), position=(0.0,) * 6)  # camera 0 alone at +0.0
+@example(seed=3, rotation=(-0.0,) * 6, position=(0.0,) * 6)  # -0.0 takes quat_from_rotvec, not the constant jet
 def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotation, position):
     scene = generate_problem(seed).initial
     theta = scene.initial_params()
-    theta[[0, 1, 2, 6, 7, 8]] += rotation  # zero hits the series branch of quat_from_rotvec
+    theta[[0, 1, 2, 6, 7, 8]] = rotation  # set, not added, so that -0.0 stays; all +0.0 is LM's constant jet
     theta[[3, 4, 5, 9, 10, 11]] += position
     try:
         expected = per_observation_reference(scene, theta)
@@ -547,6 +549,57 @@ def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotat
         return
     r, jac = residuals_and_jacobian(scene, theta)
     assert r.tobytes() == expected[0].tobytes() and jac.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("n_obs", [1, 2, 20, 37])
+def test_zero_increment_is_quat_from_rotvec_at_positive_zero(n_obs):
+    values = np.random.default_rng(n_obs).normal(size=(9, n_obs))
+    values[0:3] = 0.0
+    expected = ba.quat_from_rotvec(jets.variables(values)[0:3])
+    constant = ba._zero_increment(n_obs)
+    assert constant.value.tobytes() == expected.value.tobytes()
+    assert constant.partials.tobytes() == expected.partials.tobytes()
+    values[0:3] = -0.0  # why -0.0 keeps quat_from_rotvec: its increment's value is (1, -0.0, -0.0, -0.0)
+    assert ba.quat_from_rotvec(jets.variables(values)[0:3]).value.tobytes() != constant.value.tobytes()
+
+
+def test_jacobian_and_step_evaluate_only_the_rotation_forms_they_take(monkeypatch):
+    """A Jacobian at +0.0 rotation increments builds their constant jet without quat_from_rotvec, and
+    moving cameras that all turn by more than the series' range calls jets.where not at all."""
+    calls = {"quat_from_rotvec": 0, "where": 0}
+
+    def spy(module, name):
+        def counting(*args, inner=getattr(module, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    scene = generate_problem(1).initial  # the generator's own rotations are not counted
+    spy(ba, "quat_from_rotvec")
+    spy(jets, "where")
+    step = np.zeros(scene.n_params)
+    step[[0, 1, 2, 6, 7, 8]] = [0.2, 0.0, 0.0, 0.0, -2e-4, 0.0]  # angles squared 4e-2 and 4e-8
+    assert min(0.2**2, 2e-4**2) > ba.SMALL_ANGLE_SQ
+    scene.moved(step)
+    assert calls["where"] == 0
+    step[7] = -1e-5  # camera 1 now on the series branch: a mixed array, merged per element
+    scene.moved(step)
+    assert calls["where"] == 3
+    theta = scene.initial_params()
+    residuals_and_jacobian(scene, theta)
+    assert calls["quat_from_rotvec"] == 2  # still the two steps' calls: none at +0.0 increments
+    theta[6:9] = [0.01, -0.02, 0.03]
+    residuals_and_jacobian(scene, theta)
+    assert calls["quat_from_rotvec"] == 3
+
+
+def test_rotations_of_no_cameras_or_observations_are_empty():
+    assert ba.quat_from_rotvec(np.zeros((3, 0))).shape == (4, 0)
+    scene = Scene(np.zeros((1, 3)), [], [], [])
+    assert scene.moved(np.ones(3)).cameras == []
+    r, jac = residuals_and_jacobian(scene, np.ones(3))
+    assert r.shape == (0,) and jac.shape == (0, 3)
 
 
 def test_jacobian_bytes_match_pinned_digests():
