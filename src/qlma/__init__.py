@@ -45,13 +45,13 @@ from .sim import (
     apply_circuit,
     apply_gate,
     gate_counts,
+    inverse_qft_circuit,
     measure_distribution,
 )
 from .trotter import (
     EvolutionSpec,
     HermitianDecomposition,
     decompose_hermitian,
-    inverse_qft_circuit,
 )
 
 __version__ = "0.1.0"

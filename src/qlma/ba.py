@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -212,7 +213,8 @@ def total_cost(scene: Scene) -> float:
 
 def _zero_increment(n_obs: int) -> jets.Jet:
     """`quat_from_rotvec`'s jet, bit for bit, at +0.0 increments seeded as partials 0-2 of 9 (every LM Jacobian's
-    case): value (1, 0, 0, 0) per observation, partials 0.5 at rows 0-2 of components 1-3 and +0.0 elsewhere."""
+    case): value (1, 0, 0, 0) per observation, partials 0.5 at rows 0-2 of components 1-3 and +0.0 elsewhere.
+    The Jacobian takes it at -0.0 too: `quat_from_rotvec`'s value there, (1, -0.0, -0.0, -0.0), changes no r or J byte."""
     partials = np.zeros((9, 4, n_obs))
     partials[[0, 1, 2], [1, 2, 3]] = 0.5
     return jets.Jet(np.eye(4, 1).repeat(n_obs, 1), partials)
@@ -228,8 +230,7 @@ def residuals_and_jacobian(scene: Scene, theta: np.ndarray) -> tuple[np.ndarray,
     pt, cam = scene.pairs.T
     quaternion, _, focal, principal_point = _observing_cameras(scene)
     local = jets.variables(np.vstack([theta[:nc].reshape(-1, 6)[cam].T, theta[nc:].reshape(-1, 3)[pt].T]))
-    bits = local.value[0:3].view(np.uint64)  # all zero at +0.0 only: -0.0 gives an increment value of -0.0
-    dq = quat_from_rotvec(local[0:3]) if bits.any() else _zero_increment(len(cam))
+    dq = quat_from_rotvec(local[0:3]) if local.value[0:3].any() else _zero_increment(len(cam))
     uv = _project_generic(quat_normalize(quat_mul(dq, quaternion)), local[3:6], focal, principal_point, local[6:9])
     r = (uv.value.T - scene.keypoints).ravel()
     cols = np.hstack([6 * cam[:, None] + np.arange(6), nc + 3 * pt[:, None] + np.arange(3)]).repeat(2, axis=0)
@@ -387,6 +388,8 @@ def generate_problem(
     """
     if noise_on not in NOISE_TARGETS:
         raise ValueError("noise_on must be 'points3d' or 'keypoints'")
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 1:
+        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-2.0, 2.0, size=(n_points, 3))
     centroid = points.mean(axis=0)

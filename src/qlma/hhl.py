@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,15 @@ from .sim import (
     apply_passes,
     gate_counts,
     h,
+    inverse_qft_circuit,
     measure_distribution,
+    qft_circuit,
 )
 from .trotter import (
     HERMITIAN_TOL,
     EvolutionSpec,
     decompose_hermitian,
     evolution_matrix,
-    inverse_qft_circuit,
-    qft_circuit,
 )
 
 REACHABLE_TOL = 1e-9  # register values with more weight are treated as reachable
@@ -189,7 +189,7 @@ class HhlSolution:
     solution: np.ndarray
     success_probability: float
     fidelity_proxy: float
-    register_distribution: dict[int, float] = field(default_factory=dict)
+    register_distribution: dict[int, float]
 
 
 def spectral_bound(matrix: np.ndarray) -> float:

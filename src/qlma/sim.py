@@ -1,4 +1,5 @@
-"""Dense statevector simulator.
+"""Dense statevector simulator, and the gates the package builds: h, cx and
+the forward and inverse Fourier transforms.
 
 Qubit ordering convention, used everywhere in this package: qubit 0 is the
 least-significant bit of the amplitude index, so the basis state
@@ -116,6 +117,28 @@ class Circuit:
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(dagger(op) for op in reversed(circuit.ops)))
+
+
+def qft_circuit(qubits: list[int]) -> Circuit:
+    """Forward transform; qubits[0] is the least significant bit."""
+    if not qubits:
+        raise SimulationError("empty qubit list")
+    m = len(qubits)
+    ops: list[GateOp] = []
+    for i in range(m - 1, -1, -1):
+        ops.append(h(qubits[i]))
+        for off in range(1, i + 1):
+            phase = np.exp(1j * math.pi / 2**off)
+            ops.append(GateOp("cu", qubits[i], (qubits[i - off],), matrix=((1, 0), (0, phase))))
+    for i in range(m // 2):
+        a, b = qubits[i], qubits[m - 1 - i]
+        ops.extend([cx(a, b), cx(b, a), cx(a, b)])
+    return Circuit(max(qubits) + 1, tuple(ops))
+
+
+def inverse_qft_circuit(qubits: list[int]) -> Circuit:
+    """Circuit whose dense matrix is the inverse DFT on 2**m amplitudes."""
+    return inverse_circuit(qft_circuit(list(qubits)))
 
 
 @dataclass(frozen=True)

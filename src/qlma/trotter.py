@@ -1,5 +1,4 @@
-"""Pauli decomposition, the product-formula evolution as a dense matrix, and
-the forward and inverse Fourier transforms.
+"""Pauli decomposition and the product-formula evolution as a dense matrix.
 
 Evolution convention: a spec with matrix A and time t implements e^{-iAt}.
 Phase estimation over it (the linear solver in qlma.hhl) therefore reads
@@ -17,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import (
-    Circuit,
-    GateOp,
-    SimulationError,
-    cx,
-    h,
-    inverse_circuit,
-)
+from .sim import SimulationError
 
 PAULI_LABELS = "IXYZ"
 HERMITIAN_TOL = 1e-10
@@ -174,30 +166,3 @@ def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
 def evolution_matrix(spec: EvolutionSpec) -> np.ndarray:
     """Dense unitary of the sliced evolution."""
     return np.linalg.matrix_power(slice_matrix(spec), spec.slices)
-
-
-# ---------------------------------------------------------------------------
-# Fourier transform.
-# ---------------------------------------------------------------------------
-
-def qft_circuit(qubits: list[int]) -> Circuit:
-    """Forward transform; qubits[0] is the least significant bit."""
-    if not qubits:
-        raise SimulationError("empty qubit list")
-    m = len(qubits)
-    ops: list[GateOp] = []
-    for i in range(m - 1, -1, -1):
-        ops.append(h(qubits[i]))
-        for off in range(1, i + 1):
-            phase = np.exp(1j * math.pi / 2**off)
-            ops.append(GateOp("cu", qubits[i], (qubits[i - off],), matrix=((1, 0), (0, phase))))
-    for i in range(m // 2):
-        a, b = qubits[i], qubits[m - 1 - i]
-        ops.extend([cx(a, b), cx(b, a), cx(a, b)])
-    return Circuit(max(qubits) + 1, tuple(ops))
-
-
-def inverse_qft_circuit(qubits: list[int]) -> Circuit:
-    """Circuit whose dense matrix is the inverse DFT on 2**m amplitudes."""
-    return inverse_circuit(qft_circuit(list(qubits)))
-

@@ -27,8 +27,8 @@ from qlma import jets
 from qlma.ba import SMALL_ANGLE_SQ, ProjectionError
 from qlma.hhl import HhlError, bin_phase, ry_matrix
 from qlma.optimizer import ConvergenceTrace, IterationRecord
-from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cx, dagger, h
-from qlma.trotter import EvolutionSpec, HermitianDecomposition, _slice_sequence, inverse_qft_circuit
+from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_gate, cx, dagger, h, inverse_qft_circuit
+from qlma.trotter import EvolutionSpec, HermitianDecomposition, _slice_sequence
 
 
 def _openblas() -> ctypes.CDLL | None:

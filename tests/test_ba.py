@@ -531,13 +531,23 @@ def per_observation_reference(scene, theta):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 400),
-    rotation=st.one_of(st.just((0.0,) * 6), st.tuples(*[st.floats(-0.05, 0.05)] * 6)),
+    rotation=st.one_of(st.just((0.0,) * 6), st.just((-0.0,) * 6), st.tuples(*[st.floats(-0.05, 0.05)] * 6)),
     position=st.tuples(*[st.floats(-0.1, 0.1)] * 6),
+    zeros=st.one_of(st.none(), st.tuples(*[st.sampled_from((0.0, -0.0))] * 4)),
 )
-@example(seed=3, rotation=(0.0, 0.0, 0.0, 0.01, -0.02, 0.03), position=(0.0,) * 6)  # camera 0 alone at +0.0
-@example(seed=3, rotation=(-0.0,) * 6, position=(0.0,) * 6)  # -0.0 takes quat_from_rotvec, not the constant jet
-def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotation, position):
+@example(seed=3, rotation=(0.0, 0.0, 0.0, 0.01, -0.02, 0.03), position=(0.0,) * 6, zeros=None)  # camera 0 alone at +0.0
+# -0.0 takes the constant jet too: the reference's increment value (1, -0.0, -0.0, -0.0) changes no byte
+@example(seed=3, rotation=(-0.0,) * 6, position=(0.0,) * 6, zeros=None)
+@example(seed=3, rotation=(-0.0,) * 6, position=(0.0,) * 6, zeros=(-0.0, 0.0, 0.0, -0.0))
+@example(seed=5, rotation=(0.0, -0.0, 0.0, -0.0, 0.0, -0.0), position=(0.0,) * 6, zeros=(-0.0, -0.0, 0.0, 0.0))
+def test_batched_jacobian_bit_identical_to_per_observation_reference(seed, rotation, position, zeros):
+    """`zeros`, when drawn, are the y and z components of the two cameras' quaternions: each camera then turns
+    about the x axis alone, as the generator's nearly do, so signed zeros meet the increment in quat_mul."""
     scene = generate_problem(seed).initial
+    if zeros is not None:
+        wx = [cam.quaternion[:2] / np.linalg.norm(cam.quaternion[:2]) for cam in scene.cameras]
+        scene.cameras = [dataclasses.replace(cam, quaternion=[*wx[j], *zeros[2 * j : 2 * j + 2]])
+                         for j, cam in enumerate(scene.cameras)]
     theta = scene.initial_params()
     theta[[0, 1, 2, 6, 7, 8]] = rotation  # set, not added, so that -0.0 stays; all +0.0 is LM's constant jet
     theta[[3, 4, 5, 9, 10, 11]] += position
@@ -559,12 +569,12 @@ def test_zero_increment_is_quat_from_rotvec_at_positive_zero(n_obs):
     constant = ba._zero_increment(n_obs)
     assert constant.value.tobytes() == expected.value.tobytes()
     assert constant.partials.tobytes() == expected.partials.tobytes()
-    values[0:3] = -0.0  # why -0.0 keeps quat_from_rotvec: its increment's value is (1, -0.0, -0.0, -0.0)
+    values[0:3] = -0.0  # the value differs here, (1, -0.0, -0.0, -0.0), but no r or J byte does (test above)
     assert ba.quat_from_rotvec(jets.variables(values)[0:3]).value.tobytes() != constant.value.tobytes()
 
 
 def test_jacobian_and_step_evaluate_only_the_rotation_forms_they_take(monkeypatch):
-    """A Jacobian at +0.0 rotation increments builds their constant jet without quat_from_rotvec, and
+    """A Jacobian at zero rotation increments, +0.0 or -0.0, builds their constant jet without quat_from_rotvec, and
     moving cameras that all turn by more than the series' range calls jets.where not at all."""
     calls = {"quat_from_rotvec": 0, "where": 0}
 
@@ -589,6 +599,9 @@ def test_jacobian_and_step_evaluate_only_the_rotation_forms_they_take(monkeypatc
     theta = scene.initial_params()
     residuals_and_jacobian(scene, theta)
     assert calls["quat_from_rotvec"] == 2  # still the two steps' calls: none at +0.0 increments
+    theta[[1, 6, 8]] = -0.0
+    residuals_and_jacobian(scene, theta)
+    assert calls["quat_from_rotvec"] == 2  # nor at a mix of +0.0 and -0.0
     theta[6:9] = [0.01, -0.02, 0.03]
     residuals_and_jacobian(scene, theta)
     assert calls["quat_from_rotvec"] == 3
@@ -892,6 +905,12 @@ def test_generation_seeds_differ():
 def test_generation_rejects_an_unknown_noise_target():
     with pytest.raises(ValueError, match="noise_on must be 'points3d' or 'keypoints'"):
         generate_problem(1, noise_on="pixels")
+
+
+@pytest.mark.parametrize("n_points", [0, -1, 2.5, 2.0, True, "3", None])
+def test_generation_rejects_a_point_count_that_is_not_a_positive_integer(n_points):
+    with pytest.raises(ValueError, match=rf"^n_points must be a positive integer, got {re.escape(repr(n_points))}$"):
+        generate_problem(1, n_points=n_points)
 
 
 def test_look_at_rotations_stay_far_from_a_half_turn():

@@ -42,13 +42,13 @@ from qlma.sim import (
     gate_counts,
     h,
     inverse_circuit,
+    inverse_qft_circuit,
     measure_distribution,
 )
 from qlma.trotter import (
     EvolutionSpec,
     decompose_hermitian,
     evolution_matrix,
-    inverse_qft_circuit,
 )
 
 from reference import (

@@ -7,19 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian, schur_reduce
-from qlma.hhl import _hhl_lambda_bound, _readout_circuits, embed_problem
-from qlma.sim import Circuit, GateOp, SimulationError, StateVector, apply_circuit, cx, h
+from qlma.hhl import _hhl_lambda_bound, embed_problem
+from qlma.sim import SimulationError, StateVector, apply_circuit
 from qlma.trotter import (
     EvolutionSpec,
     HermitianDecomposition,
     decompose_hermitian,
     evolution_matrix,
-    inverse_qft_circuit,
-    qft_circuit,
     slice_matrix,
 )
 
-from reference import circuit_unitary, cu, pauli_string_matrix, qpe_circuit, reconstruct, trotter_circuit, u_adjoint
+from reference import circuit_unitary, pauli_string_matrix, qpe_circuit, reconstruct, trotter_circuit
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -214,82 +212,6 @@ def test_spec_validation():
         EvolutionSpec(dec, 1.0, 1, 3)
     with pytest.raises(SimulationError):
         EvolutionSpec(dec, math.inf, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# inverse Fourier transform
-# ---------------------------------------------------------------------------
-
-def dft_matrix(m):
-    n = 2**m
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * j * k / n) / math.sqrt(n)
-
-
-def test_iqft_single_qubit_is_hadamard():
-    c = inverse_qft_circuit([0])
-    assert len(c.ops) == 1 and c.ops[0].kind == "h"
-
-
-def test_iqft_after_qft_is_identity():
-    from qlma.sim import inverse_circuit
-
-    iqft = inverse_qft_circuit([0, 1])
-    qft = inverse_circuit(iqft)
-    prod = circuit_unitary(iqft) @ circuit_unitary(qft)
-    assert np.max(np.abs(prod - np.eye(4))) < 1e-12
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_iqft_matrix_equals_conjugate_dft(m):
-    got = circuit_unitary(inverse_qft_circuit(list(range(m))))
-    assert np.max(np.abs(got - dft_matrix(m).conj().T)) < 1e-12
-
-
-def test_iqft_unitary():
-    got = circuit_unitary(inverse_qft_circuit([0, 1, 2]))
-    assert np.max(np.abs(got @ got.conj().T - np.eye(8))) < 1e-12
-
-
-def test_iqft_rejects_empty():
-    # the inverse gets the forward builder's check through its call
-    for build in (qft_circuit, inverse_qft_circuit):
-        with pytest.raises(SimulationError, match="^empty qubit list$"):
-            build([])
-
-
-def reference_qft(qubits: list[int], inverse: bool = False) -> Circuit:
-    """The Fourier transform with each controlled phase built as
-    cu(control, target, 0, 0, pi/2**j); inverse=True reverses the ops and
-    gives each cu the parameters of u_adjoint."""
-    m = len(qubits)
-    ops: list[GateOp] = []
-    for i in range(m - 1, -1, -1):
-        ops.append(h(qubits[i]))
-        for off in range(1, i + 1):
-            params = (0.0, 0.0, math.pi / 2**off, 0.0)
-            ops.append(cu(qubits[i - off], qubits[i], *(u_adjoint(*params) if inverse else params)))
-    for i in range(m // 2):
-        a, b = qubits[i], qubits[m - 1 - i]
-        ops.extend([cx(a, b), cx(b, a), cx(a, b)])
-    return Circuit(max(qubits) + 1, tuple(reversed(ops)) if inverse else tuple(ops))
-
-
-
-def test_fourier_transforms_keep_the_bytes_of_their_parameter_form():
-    """Every pass of the forward and inverse transforms, and of the solver's
-    readout circuits, equals that of the same circuit built from
-    cu(..., 0, 0, angle) and, for the inverse, its negated parameters; repr
-    shows the sign of a zero."""
-    for m in range(1, 12):
-        for k in range(1, 5):
-            qubits, n = list(range(k, k + m)), k + m
-            forward, inverse = reference_qft(qubits), reference_qft(qubits, inverse=True)
-            assert repr(qft_circuit(qubits)._passes) == repr(forward._passes)
-            assert repr(inverse_qft_circuit(qubits)._passes) == repr(inverse._passes)
-            expected = (inverse, Circuit(n + 1, forward.ops), Circuit(n, tuple(h(q) for q in qubits)))
-            for got, want in zip(_readout_circuits(k, m), expected):
-                assert repr(got._passes) == repr(want._passes)
 
 
 # ---------------------------------------------------------------------------
