@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -94,16 +95,19 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise InputError("need at least one seed")
+        for key in ("seeds", "setup", "slices", "phase_qubits", "iters", "jobs"):
+            value = getattr(self, RUN_SETTINGS[key][0])
+            for item in value if key == "seeds" else (value,):  # a bool or float would be taken as an int
+                if isinstance(item, bool) or not isinstance(item, numbers.Integral):
+                    raise InputError(f"{key} must be {'integers' if key == 'seeds' else 'an integer'}, got {item!r}")
+            if key not in ("seeds", "setup") and value < 1:
+                raise InputError(f"{key} must be at least 1, got {value}")
         if self.setup not in SETUPS:
             raise InputError("setup must be 1 or 2")
         if self.backend not in BACKEND_ALIASES:
             raise InputError(f"unknown backend {self.backend!r}")
         if self.noise_on not in NOISE_TARGETS:
             raise InputError(f"noise_on must be points3d or keypoints, got {self.noise_on!r}")
-        for key in ("slices", "phase_qubits", "iters", "jobs"):
-            value = getattr(self, RUN_SETTINGS[key][0])
-            if value < 1:
-                raise InputError(f"{key} must be at least 1, got {value}")
 
     def resolved_backend(self) -> LinearBackend:
         kind = BACKEND_ALIASES[self.backend]
@@ -281,7 +285,7 @@ def cmd_noise(
         problem = generate_problem(1)
         r, jac = residuals_and_jacobian(problem.initial, problem.initial.initial_params())
         ne = build_normal_equations(r, jac, SETUPS[1].lambda1_init, SETUPS[1].lambda2, m_c=problem.initial.n_camera_params)
-        one, two, per = hhl_gate_tally(hhl_system(ne), hhl)
+        one, two, per = hhl_gate_tally(*hhl_system(ne, hhl))
         print("own unrolled tally:", " ".join(f"{k}={v}" for k, v in sorted(per.items())))
         print(f"own totals: one-qubit={one} two-qubit={two}")
         print(f"single-run success with own counts: {success_probability((one, two), 0, rates):.6e}")

@@ -60,8 +60,8 @@ class HermitianProblem:
     `matrix` is the Hermitian operator actually simulated; `rhs` is stored
     normalized with its original norm in `rhs_norm`.  `original_dim` and
     `dilated` record how to project a solution of the embedded system back
-    onto the input system.  `scale` records any spectral rescaling applied
-    to the matrix (1.0 means none).
+    onto the input system.  `scale` is always 1.0: nothing sets it, and only
+    perfbench's tracer still divides by it.
     """
 
     matrix: np.ndarray
@@ -153,11 +153,9 @@ def project_solution(problem: HermitianProblem, embedded: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True)
 class HhlConfig:
-    """Solver knobs.
-
-    lambda_bound overrides the row-sum spectral bound (useful when the
-    caller knows a tight bound).
-    """
+    """Solver knobs.  lambda_bound bounds the largest |eigenvalue| and sets the evolution time
+    -pi / lambda_bound.  None means the row-sum spectral_bound in hhl_solve; on the LM step,
+    optimizer.hhl_system replaces None with the tighter eigvalsh bound."""
 
     n_phase_qubits: int = 3
     slices: int = 50
@@ -405,7 +403,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
         phase += math.pi
     aligned = np.real(block * np.exp(-1j * phase))
 
-    denorm = problem.rhs_norm / (constant * 2.0 * bound) / problem.scale
+    denorm = problem.rhs_norm / (constant * 2.0 * bound)
     solution = project_solution(problem, aligned * denorm)
     return HhlSolution(solution, success, min(fidelity, 1.0), register)
 

@@ -9,10 +9,9 @@ theta' = theta + (1 - w) * step + w * previous_step with w = l2 / (1 + l2).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,12 +108,15 @@ def update_damping(lambda1: float, omega: float, dcost_sq: float, cfg: DampingCo
     return lambda1
 
 
-def hhl_system(ne: NormalEquations) -> HermitianProblem:
-    """The hhl step's system: the Schur-reduced camera system, symmetrized
-    (the reduction leaves roundoff asymmetry that embed_problem rejects) and
-    dilated."""
+def hhl_system(ne: NormalEquations, config: HhlConfig) -> tuple[HermitianProblem, HhlConfig]:
+    """The hhl step's system, the Schur-reduced camera system symmetrized (embed_problem rejects the
+    reduction's roundoff asymmetry) and dilated, and its solver config: config, with a lambda_bound of
+    None set to the eigvalsh bound that puts the top eigenvalue on the next-to-top bin (_hhl_lambda_bound)."""
     s, rhs = schur_reduce(ne)
-    return embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)
+    problem = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)
+    if config.lambda_bound is None:
+        config = replace(config, lambda_bound=_hhl_lambda_bound(problem.matrix, config.n_phase_qubits))
+    return problem, config
 
 
 def lma_step(ne: NormalEquations, backend: LinearBackend) -> np.ndarray:
@@ -130,12 +132,7 @@ def lma_step(ne: NormalEquations, backend: LinearBackend) -> np.ndarray:
         s, rhs = schur_reduce(ne)
         delta_cam = np.linalg.solve(s, -rhs)
     else:
-        problem = hhl_system(ne)
-        cfg = backend.hhl
-        if cfg.lambda_bound is None:
-            bound = _hhl_lambda_bound(problem.matrix, cfg.n_phase_qubits)
-            cfg = dataclasses.replace(cfg, lambda_bound=bound)
-        delta_cam = hhl_solve(problem, cfg).solution
+        delta_cam = hhl_solve(*hhl_system(ne, backend.hhl)).solution
     return np.concatenate([delta_cam, back_substitute(ne, delta_cam)])
 
 

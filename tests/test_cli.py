@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import qlma
-from qlma.cli import COMPARE_KEYS, RUN_KEYS, RunConfig, main, run_batch, write_summary
+from qlma.cli import COMPARE_KEYS, RUN_KEYS, InputError, RunConfig, main, run_batch, write_summary
 
 from reference import one_openblas_thread, openblas_core
 
@@ -312,6 +313,26 @@ def test_run_config_validation():
         RunConfig(setup=3)
     with pytest.raises(ValueError):
         RunConfig(backend="annealer")
+    RunConfig(seeds=(np.int64(1),), setup=np.int32(2), jobs=np.int64(2))  # numpy integers are integers
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"seeds": (1.5,)}, "seeds must be integers, got 1.5"),
+        ({"seeds": (1, True)}, "seeds must be integers, got True"),
+        ({"setup": True}, "setup must be an integer, got True"),
+        ({"setup": 1.0}, "setup must be an integer, got 1.0"),
+        ({"max_iters": True}, "iters must be an integer, got True"),
+        ({"trotter_slices": 2.5}, "slices must be an integer, got 2.5"),
+        ({"phase_qubits": np.float64(3.0)}, "phase_qubits must be an integer, got np.float64(3.0)"),
+        ({"jobs": "2"}, "jobs must be an integer, got '2'"),
+    ],
+)
+def test_run_config_rejects_a_bool_or_non_integral_setting(setting, message):
+    # each would otherwise be coerced to an int, or fail once per seed inside the batch
+    with pytest.raises(InputError, match=re.escape(message)):
+        RunConfig(**setting)
 
 
 def test_run_batch_raises_when_a_seed_fails(monkeypatch):

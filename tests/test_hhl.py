@@ -23,7 +23,6 @@ from qlma.hhl import (
     hhl_solve,
     _apply_controlled_block,
     _estimation_input,
-    _hhl_lambda_bound,
     _inversion_table,
     _nearest_unitary,
     _next_power_of_two,
@@ -772,7 +771,7 @@ def _reference_readout(problem, state, k, m, constant, bound):
     elif phase < -math.pi / 2:
         phase += math.pi
     aligned = np.real(block * np.exp(-1j * phase))
-    denorm = problem.rhs_norm / (constant * 2.0 * bound) / problem.scale
+    denorm = problem.rhs_norm / (constant * 2.0 * bound)
     return project_solution(problem, aligned * denorm), success, min(fidelity, 1.0)
 
 
@@ -905,19 +904,18 @@ _LM_SOLVE_DIGESTS = {
 
 
 def _lm_solve_digest(m):
-    """The hhl step's system (hhl_system) at the initial parameters of problem
-    seeds 1-8, with lambda1 in {1e-2, 1e-5} and lambda2 = 0.01, solved at m
-    phase qubits with lma_step's eigvalsh bound.  Each solve adds its solution
-    bytes, the reprs of its success probability and fidelity proxy, and its
-    sorted register distribution."""
+    """The hhl step's system and config (hhl_system) at the initial parameters
+    of problem seeds 1-8, with lambda1 in {1e-2, 1e-5} and lambda2 = 0.01,
+    solved at m phase qubits with the builder's eigvalsh bound.  Each solve
+    adds its solution bytes, the reprs of its success probability and
+    fidelity proxy, and its sorted register distribution."""
     digest = hashlib.sha256()
     for seed in range(1, 9):
         scene = generate_problem(seed).initial
         r, jac = residuals_and_jacobian(scene, scene.initial_params())
         for lam1 in (1e-2, 1e-5):
-            problem = hhl_system(build_normal_equations(r, jac, lam1, 0.01, m_c=scene.n_camera_params))
-            config = HhlConfig(n_phase_qubits=m, lambda_bound=_hhl_lambda_bound(problem.matrix, m))
-            got = hhl_solve(problem, config)
+            ne = build_normal_equations(r, jac, lam1, 0.01, m_c=scene.n_camera_params)
+            got = hhl_solve(*hhl_system(ne, HhlConfig(n_phase_qubits=m)))
             digest.update(got.solution.tobytes())
             digest.update(repr((got.success_probability, got.fidelity_proxy)).encode())
             digest.update(repr(sorted(got.register_distribution.items())).encode())

@@ -6,8 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlma.optimizer as opt
-from qlma.ba import ProjectionError, build_normal_equations, generate_problem, residuals_and_jacobian, total_cost
-from qlma.hhl import HERMITIAN_TOL, HhlConfig, HhlError, embed_problem
+from qlma.ba import (
+    ProjectionError,
+    back_substitute,
+    build_normal_equations,
+    generate_problem,
+    residuals_and_jacobian,
+    total_cost,
+)
+from qlma.hhl import (
+    HERMITIAN_TOL,
+    HhlConfig,
+    HhlError,
+    _hhl_lambda_bound,
+    bin_phase,
+    embed_problem,
+    hhl_solve,
+    spectral_bound,
+)
 from qlma.optimizer import (
     BACKEND_KINDS,
     SETUPS,
@@ -120,21 +136,52 @@ def test_hhl_step_matches_classical_on_well_conditioned_system():
     assert np.linalg.norm(quantum - classical) / np.linalg.norm(classical) < 5e-2
 
 
-def test_hhl_system_absorbs_roundoff_asymmetry():
-    prob = generate_problem(1)
+def _initial_normal_equations(seed=1):
+    prob = generate_problem(seed)
     r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
-    ne = build_normal_equations(r, jac, 0.01, 0.01, m_c=12)
+    return build_normal_equations(r, jac, 0.01, 0.01, m_c=12)
+
+
+def test_hhl_system_absorbs_roundoff_asymmetry():
+    ne = _initial_normal_equations()
     eps = 10 * HERMITIAN_TOL * np.max(np.abs(ne.camera_block))
     ne.camera_block[0, 1] += eps
     ne.camera_block[1, 0] -= eps
     s, rhs = opt.schur_reduce(ne)
     with pytest.raises(HhlError, match="not symmetric"):
         embed_problem(s, -rhs)
-    problem = hhl_system(ne)
+    problem, _ = hhl_system(ne, HhlConfig())
     expected = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)
     assert problem.matrix.tobytes() == expected.matrix.tobytes()
     assert problem.rhs.tobytes() == expected.rhs.tobytes() and problem.rhs_norm == expected.rhs_norm
     assert problem.matrix[:12, 16:28].tobytes() == ((s + s.T) / 2.0).tobytes()  # the dilation's upper block
+
+
+def test_hhl_system_keeps_a_set_lambda_bound():
+    config = HhlConfig(n_phase_qubits=4, slices=7, lambda_bound=123.25)
+    assert hhl_system(_initial_normal_equations(), config)[1] == config
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_hhl_system_fills_in_the_eigvalsh_bound(m):
+    problem, got = hhl_system(_initial_normal_equations(), HhlConfig(n_phase_qubits=m, slices=7))
+    bound = _hhl_lambda_bound(problem.matrix, m)
+    assert got == HhlConfig(n_phase_qubits=m, slices=7, lambda_bound=bound)
+    if m > 1:  # the top |eigenvalue| reads as the next-to-top positive register bin
+        top = np.max(np.abs(np.linalg.eigvalsh(problem.matrix)))
+        assert top == pytest.approx(bin_phase(2 ** (m - 1) - 1, m) * 2.0 * bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lma_step_solves_at_a_caller_set_bound(seed):
+    ne = _initial_normal_equations(seed)
+    s, rhs = opt.schur_reduce(ne)
+    problem = embed_problem((s + s.T) / 2.0, -rhs, force_dilation=True)
+    config = HhlConfig(n_phase_qubits=4, lambda_bound=spectral_bound(problem.matrix))
+    step = lma_step(ne, LinearBackend("hhl", config))
+    delta_cam = hhl_solve(problem, config).solution
+    assert step.tobytes() == np.concatenate([delta_cam, back_substitute(ne, delta_cam)]).tobytes()
+    assert step.tobytes() != lma_step(ne, LinearBackend("hhl", HhlConfig(n_phase_qubits=4))).tobytes()
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)

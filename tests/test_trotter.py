@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian, schur_reduce
-from qlma.hhl import _hhl_lambda_bound, embed_problem
+from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian
+from qlma.hhl import HhlConfig
+from qlma.optimizer import hhl_system
 from qlma.sim import SimulationError, StateVector, apply_circuit
 from qlma.trotter import (
     EvolutionSpec,
@@ -348,14 +349,15 @@ def test_decompose_has_no_qubit_cap():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_production_system_bytes_equal_dense_reference(seed):
     """The hhl backend's own shape: the dilated 32x32 Schur system at the
-    initial guess, as lma_step builds it (5 qubits, ~136 terms, 50 slices)."""
+    initial guess, as hhl_system builds it for lma_step (5 qubits, ~136
+    terms, 50 slices, the builder's bound at 3 phase qubits)."""
     prob = generate_problem(seed)
     r, jac = residuals_and_jacobian(prob.initial, prob.initial.initial_params())
-    s, rhs = schur_reduce(build_normal_equations(r, jac, 0.01, 0.01, m_c=12))
-    matrix = embed_problem(s, -rhs, force_dilation=True).matrix
+    problem, config = hhl_system(build_normal_equations(r, jac, 0.01, 0.01, m_c=12), HhlConfig(n_phase_qubits=3))
+    matrix = problem.matrix
     dec = decompose_hermitian(matrix)
     assert dec.n_qubits == 5 and dec.terms == dense_decompose_terms(matrix)
-    spec = EvolutionSpec(dec, -math.pi / _hhl_lambda_bound(matrix, 3), slices=50, order=2)
+    spec = EvolutionSpec(dec, -math.pi / config.lambda_bound, slices=config.slices, order=2)
     assert slice_matrix(spec).tobytes() == dense_slice_matrix(spec).tobytes()
     # the terms go through one reused buffer, never a (K, 32, 32) stack
     tracemalloc.start()
