@@ -37,17 +37,7 @@ from .optimizer import (
     update_damping,
     write_trace_csv,
 )
-from .sim import (
-    Circuit,
-    GateOp,
-    SimulationError,
-    StateVector,
-    apply_circuit,
-    apply_gate,
-    gate_counts,
-    inverse_qft_circuit,
-    measure_distribution,
-)
+from .sim import SimulationError
 from .trotter import (
     EvolutionSpec,
     HermitianDecomposition,

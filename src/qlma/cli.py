@@ -93,6 +93,8 @@ class RunConfig:
     noise_on: str = "points3d"
 
     def __post_init__(self):
+        if not isinstance(self.seeds, (tuple, list)):  # an int is not iterable, and a str iterates its characters
+            raise InputError(f"seeds must be a tuple or list of integers, got {self.seeds!r}")
         if not self.seeds:
             raise InputError("need at least one seed")
         for key in ("seeds", "setup", "slices", "phase_qubits", "iters", "jobs"):

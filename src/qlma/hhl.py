@@ -33,7 +33,6 @@ from .sim import (
     apply_circuit,
     apply_gate,  # unused here; perfbench's tracer hooks qlma.hhl.apply_gate
     apply_passes,
-    gate_counts,
     h,
     inverse_qft_circuit,
     measure_distribution,
@@ -265,10 +264,11 @@ def _nearest_unitary(matrix: np.ndarray) -> np.ndarray:
 
 def _apply_controlled_block(amps: np.ndarray, block: np.ndarray, n_data: int, control: int) -> None:
     """In place: apply a dense unitary on the (contiguous, low) data qubits
-    when the control qubit is 1."""
-    rows = amps.reshape(-1, 2**n_data)
-    sel = (np.arange(rows.shape[0]) >> (control - n_data)) & 1 == 1
-    rows[sel] = rows[sel] @ block.T
+    when the control qubit is 1.  The control = 1 rows are copied out in
+    index order and multiplied as one (rows, 2**n_data) array: one zgemm
+    over all of them, as Haswell's zgemm rounds a row by the row count."""
+    selected = amps.reshape(-1, 2, 2 ** (control - n_data), 2**n_data)[:, 1]
+    selected[...] = (selected.reshape(-1, 2**n_data) @ block.T).reshape(selected.shape)
 
 
 def _squaring_chain(matrix: np.ndarray, count: int) -> list[np.ndarray]:
@@ -409,7 +409,7 @@ def hhl_solve(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> Hhl
 
 
 def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -> tuple[int, int, dict[str, int]]:
-    """Gate tally of the fully unrolled pipeline, computed compositionally.
+    """Gate tally of the fully unrolled pipeline, computed compositionally in closed form.
 
     Counts the encoding's rotations, Hadamards, one controlled evolution per
     phase qubit (slice gates, counted from the Pauli labels, times
@@ -419,7 +419,6 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
     """
     k = problem.n_data_qubits
     m = config.n_phase_qubits
-    phase_qubits = list(range(k, k + m))
 
     labels = [label for _, label in decompose_hermitian(problem.matrix).terms]
     # One visit of a term e^{-icsP} whose label has n_X X, n_Y Y and n_Z Z
@@ -444,13 +443,14 @@ def hhl_gate_tally(problem: HermitianProblem, config: HhlConfig = HhlConfig()) -
         # the order-2 formula that hhl_solve runs visits every term twice per slice
         ((visits["h"] + visits["u"], visits["cx"] + visits["cu"], visits), 2 * config.slices * powers),
         ((identity, 0, {"u": identity}), 1),
-        (gate_counts(inverse_qft_circuit(phase_qubits)), 2),
+        # the inverse transform on m qubits: m h, m(m-1)/2 controlled phases, floor(m/2) swaps of three cx
+        ((m, m * (m - 1) // 2 + 3 * (m // 2), {"h": m, "cu": m * (m - 1) // 2, "cx": 3 * (m // 2)}), 2),
         # with C = 2**-m every nonzero register value gets its one controlled rotation
         ((0, 2**m - 1, {"cry": 2**m - 1}), 1),
     ]
     per: dict[str, int] = {}
     for (_, _, kinds), factor in parts:
         for kind, count in kinds.items():
-            if count:  # like gate_counts, report no kind that never occurs
+            if count:  # report no kind that never occurs
                 per[kind] = per.get(kind, 0) + count * factor
     return sum(p[0] * f for p, f in parts), sum(p[1] * f for p, f in parts), per

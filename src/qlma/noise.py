@@ -33,7 +33,7 @@ RATE_PRESETS = {
 }
 
 # Baseline per-kind gate tally for hardware estimates of the 12-parameter pipeline at its
-# reference configuration; a controlled kind ("c...") counts as a two-qubit gate, as in sim.
+# reference configuration; a controlled kind ("c...") counts as a two-qubit gate, as in hhl_gate_tally.
 REFERENCE_GATE_TALLY = {"x": 24, "u": 30, "h": 6, "cu": 42, "cx": 76}
 _TWO_QUBIT = sum(n for kind, n in REFERENCE_GATE_TALLY.items() if kind.startswith("c"))
 REFERENCE_COUNTS = (sum(REFERENCE_GATE_TALLY.values()) - _TWO_QUBIT, _TWO_QUBIT)

@@ -6,9 +6,7 @@ least-significant bit of the amplitude index, so the basis state
 |q_{n-1} ... q_1 q_0> lives at index sum(q_k * 2**k).
 
 An op carries its own 2x2 matrix, so the simulator tells no gate kinds
-apart: an op's `kind` is a label that only gate tallies read.  A controlled
-single-qubit gate counts as a two-qubit gate in gate tallies, regardless of
-its number of controls.
+apart: an op's `kind` is a label that only the tests' gate tallies read.
 """
 
 from __future__ import annotations
@@ -254,20 +252,3 @@ def measure_distribution(state: StateVector, qubits: list[int]) -> dict[int, flo
     key = _register_key(state.n_qubits, tuple(qubits))
     probs = np.bincount(key, weights=state.probabilities, minlength=2 ** len(qubits))
     return {int(v): float(p) for v, p in enumerate(probs) if p > 0.0}
-
-
-def gate_counts(circuit: Circuit) -> tuple[int, int, dict[str, int]]:
-    """(one-qubit total, two-qubit total, tally per kind label).
-
-    Any gate with at least one control lands in the two-qubit bucket; the
-    two totals always sum to len(circuit.ops).
-    """
-    per_kind: dict[str, int] = {}
-    one_qubit = two_qubit = 0
-    for op in circuit.ops:
-        per_kind[op.kind] = per_kind.get(op.kind, 0) + 1
-        if op.controls:
-            two_qubit += 1
-        else:
-            one_qubit += 1
-    return one_qubit, two_qubit, per_kind

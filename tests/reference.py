@@ -1,5 +1,5 @@
 """Reference forms the tests check the package against: gate and circuit
-unitaries, the general rotations (u, cu, cry, U's matrix and its
+unitaries, gate tallies, the general rotations (u, cu, cry, U's matrix and its
 parameter-negating adjoint) the gate forms are built from, Pauli-string
 matrices, the sum of a decomposition, a reader for trace files, the
 amplitude encoding's gate form (the package computes the state it prepares
@@ -156,6 +156,23 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     for op in circuit.ops:
         mat = op_unitary(op, circuit.n_qubits) @ mat
     return mat
+
+
+def gate_counts(circuit: Circuit) -> tuple[int, int, dict[str, int]]:
+    """(one-qubit total, two-qubit total, tally per kind label).
+
+    Any gate with at least one control lands in the two-qubit bucket; the
+    two totals always sum to len(circuit.ops).
+    """
+    per_kind: dict[str, int] = {}
+    one_qubit = two_qubit = 0
+    for op in circuit.ops:
+        per_kind[op.kind] = per_kind.get(op.kind, 0) + 1
+        if op.controls:
+            two_qubit += 1
+        else:
+            one_qubit += 1
+    return one_qubit, two_qubit, per_kind
 
 
 def pauli_string_matrix(label: str) -> np.ndarray:

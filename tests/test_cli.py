@@ -327,6 +327,8 @@ def test_run_config_validation():
         ({"trotter_slices": 2.5}, "slices must be an integer, got 2.5"),
         ({"phase_qubits": np.float64(3.0)}, "phase_qubits must be an integer, got np.float64(3.0)"),
         ({"jobs": "2"}, "jobs must be an integer, got '2'"),
+        ({"seeds": 3}, "seeds must be a tuple or list of integers, got 3"),
+        ({"seeds": "12"}, "seeds must be a tuple or list of integers, got '12'"),
     ],
 )
 def test_run_config_rejects_a_bool_or_non_integral_setting(setting, message):

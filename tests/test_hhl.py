@@ -38,7 +38,6 @@ from qlma.sim import (
     StateVector,
     apply_circuit,
     apply_gate,
-    gate_counts,
     h,
     inverse_circuit,
     inverse_qft_circuit,
@@ -51,6 +50,7 @@ from qlma.trotter import (
 )
 
 from reference import (
+    gate_counts,
     inversion_rotation_circuit,
     minimal_hhl_circuit,
     one_openblas_thread,
@@ -561,9 +561,12 @@ def test_gate_tally_structure():
     assert two > 1000
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 8])
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("slices", [1, 2])
+# every transform size up to 8, the larger ones on the smallest system and one slice
+@pytest.mark.parametrize(
+    "slices, m, dim",
+    [(slices, m, dim) for dim in (2, 3, 4, 8) for m in (1, 2, 3) for slices in (1, 2)]
+    + [(1, m, 2) for m in range(4, 9)],
+)
 @pytest.mark.parametrize("order", [2])  # the product-formula order hhl_solve uses
 @pytest.mark.parametrize(
     "identity_term, diagonal", [(True, False), (False, False), (False, True)], ids=["True", "False", "diagonal"]

@@ -15,7 +15,6 @@ from qlma.sim import (
     apply_gate,
     cx,
     dagger,
-    gate_counts,
     h,
     inverse_circuit,
     inverse_qft_circuit,
@@ -23,7 +22,7 @@ from qlma.sim import (
     qft_circuit,
 )
 
-from reference import circuit_unitary, cry, cu, op_unitary, u, u_adjoint, u_matrix
+from reference import circuit_unitary, cry, cu, gate_counts, op_unitary, u, u_adjoint, u_matrix
 
 RNG = np.random.default_rng(12345)
 
