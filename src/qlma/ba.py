@@ -472,44 +472,48 @@ def load_problem(path) -> BaProblem:
     }
     seed = 0
     first_line: dict[tuple, int] = {}  # (tag, index) -> line number
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            where = f"{path}:{number}"
-            if tag not in _RECORD_FIELDS:
-                raise ValueError(f"{where}: unknown record {tag!r}")
-            if len(parts) - 1 != _RECORD_FIELDS[tag]:
-                raise ValueError(f"{where}: {tag} record needs {_RECORD_FIELDS[tag]} fields, got {len(parts) - 1}")
-            try:
-                if tag == "seed":
-                    index, value = None, int(parts[1])
-                elif tag == "obs":
-                    index, value = (int(parts[1]), int(parts[2])), np.array([float(parts[3]), float(parts[4])])
-                else:
-                    index, value = int(parts[1]), np.array([float(v) for v in parts[2:]])
-            except ValueError as exc:
-                raise ValueError(f"{where}: malformed {tag} record: {exc}") from None
-            if tag != "seed" and not np.all(np.isfinite(value)):
-                raise ValueError(f"{where}: non-finite number in {tag} record")
-            if tag in ("camera", "init_camera"):
-                try:
-                    value = Camera(*Camera.fields_of(value))
-                except ValueError as exc:  # a quaternion that is not of unit norm
-                    raise ValueError(f"{where}: {tag} record {index}: {exc}") from None
-            name = " ".join(parts[: 1 if index is None else 3 if tag == "obs" else 2])
-            if index is not None and np.min(index) < 0:
-                raise ValueError(f"{where}: negative index in {name} record")
-            if (tag, index) in first_line:
-                raise ValueError(f"{where}: repeated {name} record, first on line {first_line[tag, index]}")
-            first_line[tag, index] = number
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        where = f"{path}:{number}"
+        if tag not in _RECORD_FIELDS:
+            raise ValueError(f"{where}: unknown record {tag!r}")
+        if len(parts) - 1 != _RECORD_FIELDS[tag]:
+            raise ValueError(f"{where}: {tag} record needs {_RECORD_FIELDS[tag]} fields, got {len(parts) - 1}")
+        try:
             if tag == "seed":
-                seed = value
+                index, value = None, int(parts[1])
+            elif tag == "obs":
+                index, value = (int(parts[1]), int(parts[2])), np.array([float(parts[3]), float(parts[4])])
             else:
-                records[tag][index] = value
+                index, value = int(parts[1]), np.array([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed {tag} record: {exc}") from None
+        if tag != "seed" and not np.all(np.isfinite(value)):
+            raise ValueError(f"{where}: non-finite number in {tag} record")
+        if tag in ("camera", "init_camera"):
+            try:
+                value = Camera(*Camera.fields_of(value))
+            except ValueError as exc:  # a quaternion that is not of unit norm
+                raise ValueError(f"{where}: {tag} record {index}: {exc}") from None
+        name = " ".join(parts[: 1 if index is None else 3 if tag == "obs" else 2])
+        if index is not None and np.min(index) < 0:
+            raise ValueError(f"{where}: negative index in {name} record")
+        if (tag, index) in first_line:
+            raise ValueError(f"{where}: repeated {name} record, first on line {first_line[tag, index]}")
+        first_line[tag, index] = number
+        if tag == "seed":
+            seed = value
+        else:
+            records[tag][index] = value
 
     # each tag with the record types its indices count
     indexed = {"obs_point": ("point",), "init_point": ("point",), "init_camera": ("camera",), "obs": ("point", "camera")}

@@ -310,10 +310,12 @@ def cmd_gen(seeds, output_dir: str, noise_on: str) -> int:
 def _load_config_file(path: str, valid_keys: tuple[str, ...]) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -91,10 +91,7 @@ class HermitianProblem:
 
 
 def _next_power_of_two(n: int) -> int:
-    k = 1
-    while k < n:
-        k *= 2
-    return k
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def _real(value, name: str) -> np.ndarray:

@@ -103,13 +103,21 @@ class Circuit:
 
     @functools.cached_property
     def _passes(self) -> tuple[tuple, ...]:
-        """apply_passes' (i0, i1, rows) per op: the views of _pair_views and, per
-        output row, its nonzero terms as (half, coefficient), None for exactly
-        one; computed once, so a circuit applied again costs no per-op work."""
+        """apply_passes' (shape, i0, i1, rows) per op, computed once: an axis of 2
+        per qubit of the op and one per run of other qubits, most significant first;
+        slices (never integers, whose scalar math rounds differently) of the target's
+        0 and 1 halves, each control at its state; and each output row's nonzero
+        terms as (half, coefficient), with None for a coefficient of exactly one."""
         passes = []
         for op in self.ops:
+            shape, i0, i1, above = [], [], [], self.n_qubits
+            for q, state in sorted(zip(op.qubits, (0, *op.control_states)), reverse=True):
+                shape += [2 ** (above - q - 1), 2]
+                i0 += [slice(None), slice(state, state + 1)]
+                i1 += [slice(None), slice(1, 2) if q == op.target else i0[-1]]
+                above = q
             rows = tuple(tuple((j, None if c == 1 else c) for j, c in enumerate(r) if c != 0) for r in op.matrix)
-            passes.append((*_pair_views(self.n_qubits, op), rows))
+            passes.append(((*shape, 2**above), (*i0, slice(None)), (*i1, slice(None)), rows))
         return tuple(passes)
 
 
@@ -175,19 +183,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Index tuples of the target's 0 and 1 halves, each control at its
-    state, in the (2,)*n tensor of the amplitudes (qubit q is axis n-1-q).
-    Slices, never integers, so that every view stays an array: numpy's
-    scalar math rounds differently from its array loops."""
-    sel = [slice(None)] * n_qubits
-    for q, s in zip(op.qubits, (0, *op.control_states)):
-        sel[n_qubits - 1 - q] = slice(s, s + 1)
-    i0 = tuple(sel)
-    sel[n_qubits - 1 - op.target] = slice(1, 2)
-    return i0, tuple(sel)
-
-
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate: a one-op apply_circuit."""
     return apply_circuit(state, Circuit(state.n_qubits, (op,)))
@@ -196,14 +191,14 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 def apply_passes(amps: np.ndarray, circuit: Circuit) -> None:
     """In place: the circuit's passes in order on a C-contiguous array of its
     2**n amplitudes, which may be a view into a larger buffer; checks no norm.
-    A pass sets its op's halves i0 and i1 of the (2,)*n tensor to their rows'
-    sums of coefficient * half, reading both halves before writing either.
-    Exactly zero terms are left out and exactly unit coefficients multiply
-    nothing, so a controlled phase writes only m11*a1 and a flip only swaps
-    the halves; only the sign of an exactly zero component can differ from
-    the dense arithmetic."""
-    t = amps.reshape((2,) * circuit.n_qubits)
-    for i0, i1, rows in circuit._passes:
+    A pass sets its op's halves i0 and i1 of the amplitudes in its shape to
+    their rows' sums of coefficient * half, reading both halves before
+    writing either.  Exactly zero terms are left out and exactly unit
+    coefficients multiply nothing, so a controlled phase writes only m11*a1
+    and a flip only swaps the halves; only the sign of an exactly zero
+    component can differ from the dense arithmetic."""
+    for shape, i0, i1, rows in circuit._passes:
+        t = amps.reshape(shape)
         halves = t[i0], t[i1]
         new = []
         for terms in rows:

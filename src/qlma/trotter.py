@@ -24,29 +24,24 @@ COEFF_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=8)
-def _pauli_table(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """All 4**n Pauli strings as signed permutations.
+def _pauli_table(n_qubits: int) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, np.ndarray]:
+    """All 4**n Pauli strings in label order, their columns by label, and
+    the strings as signed permutations, one column per string.
 
-    String a carries PAULI_LABELS[(a >> 2q) & 3] on qubit q.  Its matrix has
-    one nonzero per row i, at column i ^ xmask, with value
-    phases[a, i] = (-i)**#Y * (-1)**popcount(i & (ymask | zmask)), which
-    tr(P @ M) multiplies by M.flat[gather[a, i]] = M[i ^ xmask, i].
+    String a carries PAULI_LABELS[(a >> 2(n-1-q)) & 3] on qubit q.  Its matrix
+    has one nonzero per row i, at column i ^ xmask, with value
+    phases[i, a] = (-i)**#Y * (-1)**popcount(i & (ymask | zmask)), which
+    tr(P @ M) multiplies by M.flat[gather[i, a]] = M[i ^ xmask, i].
     """
-    kinds = (np.arange(4**n_qubits)[:, None] >> 2 * np.arange(n_qubits)) & 3  # (4**n, n): I X Y Z
+    kinds = (np.arange(4**n_qubits)[:, None] >> 2 * np.arange(n_qubits - 1, -1, -1)) & 3  # (4**n, n): I X Y Z
     labels = tuple(map("".join, np.array(list(PAULI_LABELS))[kinds].tolist()))
-    rows = np.arange(2**n_qubits)
+    rows = np.arange(2**n_qubits)[:, None]
     xmask = ((kinds == 1) | (kinds == 2)) @ (1 << np.arange(n_qubits))
-    gather = (rows ^ xmask[:, None]) << n_qubits | rows
-    parity = ((kinds >= 2) @ ((rows >> np.arange(n_qubits)[:, None]) & 1)) & 1
-    phases = np.array([1, -1j, -1, 1j])[np.sum(kinds == 2, axis=1) % 4, None] * (1 - 2 * parity)
+    gather = (rows ^ xmask) << n_qubits | rows
+    parity = (((rows >> np.arange(n_qubits)) & 1) @ (kinds >= 2).T) & 1
+    phases = np.array([1, -1j, -1, 1j])[np.sum(kinds == 2, axis=1) % 4] * (1 - 2 * parity)
     gather.flags.writeable = phases.flags.writeable = False  # shared by every caller
-    return labels, gather, phases
-
-
-@functools.lru_cache(maxsize=8)
-def _pauli_index(n_qubits: int) -> dict[str, int]:
-    """Row of each label in _pauli_table(n_qubits); read-only."""
-    return {label: a for a, label in enumerate(_pauli_table(n_qubits)[0])}
+    return labels, {label: a for a, label in enumerate(labels)}, gather, phases
 
 
 @dataclass(frozen=True)
@@ -89,17 +84,17 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
         raise SimulationError("matrix is not Hermitian")
-    labels, gather, phases = _pauli_table(n_qubits)
+    labels, _, gather, phases = _pauli_table(n_qubits)
     # tr(P @ M) = sum_i P[i, i^x] * M[i^x, i].  Rows are added one at a time
     # in increasing order: the order fixes the coefficients' last bits, which
     # the term order and every trace depend on (tests/test_trotter.py).
-    products = phases * m.take(gather)
-    coeffs = functools.reduce(np.add, products.T, np.zeros(4**n_qubits, dtype=complex)) / dim
+    products = phases * m.reshape(-1)[gather]
+    coeffs = functools.reduce(np.add, products, np.zeros(4**n_qubits, dtype=complex)) / dim
     if np.max(np.abs(coeffs.imag)) > HERMITIAN_TOL * scale:
         raise SimulationError("non-real Pauli coefficients")
     kept = np.flatnonzero(np.abs(coeffs.real) > COEFF_TOL)
-    terms = sorted(zip(coeffs.real[kept].tolist(), [labels[a] for a in kept]), key=lambda t: (-abs(t[0]), t[1]))
-    return HermitianDecomposition(n_qubits, tuple(terms))
+    kept = kept[np.lexsort((kept, -np.abs(coeffs.real[kept])))]  # columns are in label order
+    return HermitianDecomposition(n_qubits, tuple(zip(coeffs.real[kept].tolist(), [labels[a] for a in kept.tolist()])))
 
 
 @dataclass(frozen=True)
@@ -124,10 +119,11 @@ class EvolutionSpec:
 # Matrix form of the evolution.  One slice is a short product of closed-form
 # Pauli exponentials (P**2 = I gives e^{-icPs} = cos(cs) I - i sin(cs) P), and
 # the full evolution is a matrix power of that slice, so the slice count is
-# essentially free here.  Each slice computes its cos(cs) values, i sin(cs) P
-# rows and flat scatter indices of P's nonzeros once, then writes every term
-# into one reused buffer before the dense product.  The gate form in
-# tests/reference.py applies the same term sequence.
+# essentially free here.  Each slice computes each term's diagonal cos(cs) I
+# and its entries at P's nonzeros with their flat indices once; it writes every
+# term into one reused buffer and multiplies it into two others.  Subtracting P's
+# zeros would leave every other entry of cos(cs) I bit for bit as it is.  The
+# gate form in tests/reference.py applies the same term sequence.
 # ---------------------------------------------------------------------------
 
 def _slice_sequence(n_terms: int, tau: float, order: int) -> tuple[list[int], float]:
@@ -144,22 +140,28 @@ def slice_matrix(spec: EvolutionSpec) -> np.ndarray:
     n, terms = spec.decomposition.n_qubits, spec.decomposition.terms
     dim = 2**n
     sequence, s = _slice_sequence(len(terms), spec.time / spec.slices, spec.order)
-    _, gather, phases = _pauli_table(n)
-    index = _pauli_index(n)
-    table_rows = [index[label] for _, label in terms]
+    _, index, gather, phases = _pauli_table(n)
+    columns = [index[label] for _, label in terms]
     cosines = [math.cos(coef * s) for coef, _ in terms]
-    sines = np.array([1j * math.sin(coef * s) for coef, _ in terms]).reshape(-1, 1) * phases[table_rows]
-    scatter = np.arange(0, dim * dim, dim) + (gather[table_rows] >> n)  # flat (row, col) of P's nonzeros
+    sines = np.array([1j * math.sin(coef * s) for coef, _ in terms]).reshape(-1, 1) * phases.T[columns]
+    scatter = np.arange(0, dim * dim, dim) + (gather.T[columns] >> n)  # flat (row, col) of P's nonzeros
     eye = np.eye(dim, dtype=complex)
-    term = np.empty_like(eye)
-    flat = term.reshape(-1)
-    out = eye
+    cosine_column = np.reshape(cosines, (-1, 1))
+    values = list(np.multiply(cosine_column, eye.take(scatter)) - sines)
+    diagonals = list(np.multiply(cosine_column, eye.diagonal()))
+    scatter, term, out, buf = list(scatter), np.empty_like(eye), eye.copy(), np.empty_like(eye)
+    flat, diagonal = term.reshape(-1), term.reshape(-1)[:: dim + 1]
+    negative = prev = None
     for k in sequence:
-        # cos(cs) I - i sin(cs) P, written only at P's nonzeros: subtracting
-        # P's zeros would leave every entry of cos(cs) I bit for bit as it is.
-        np.multiply(cosines[k], eye, out=term)
-        flat[scatter[k]] -= sines[k]
-        out = term @ out
+        # while the sign of the cosine, and so of cos(cs) I's zeros, holds,
+        # only the last term's nonzeros, then the diagonal, change
+        if (cosines[k] < 0) is not negative:
+            np.multiply(cosines[k], eye, out=term)
+            negative, zeros = cosines[k] < 0, np.full(dim, flat[dim - 1])  # off the diagonal unless dim is 1
+        else:
+            flat[scatter[prev]], diagonal[...] = zeros, diagonals[k]
+        flat[scatter[k]] = values[k]
+        out, buf, prev = term.dot(out, out=buf), out, k
     return out
 
 

@@ -7,10 +7,12 @@ in closed form), the product formula's gate form (the package runs its
 matrix form only), the phase-estimation circuit, the eigenvalue
 inversion's gate form (the package computes its rotation matrices from
 C/lam), the three-qubit textbook instance of the linear solver, the
-per-component jet seeding, quaternion helpers and pinhole projection (the
-package stacks each quaternion and 3-vector on one component axis), and,
-for the pinned digests, the name of the OpenBLAS kernel they are recorded
-per and a pin to the one OpenBLAS thread they are recorded with."""
+simulator's passes on the (2,)*n tensor of the amplitudes (the package
+reshapes them per pass to its qubits' coarsest axes), the per-component
+jet seeding, quaternion helpers and pinhole projection (the package stacks
+each quaternion and 3-vector on one component axis), and, for the pinned
+digests, the name of the OpenBLAS kernel they are recorded per and a pin
+to the one OpenBLAS thread they are recorded with."""
 
 from __future__ import annotations
 
@@ -211,6 +213,34 @@ def read_trace_csv(path) -> ConvergenceTrace:
                 )
             )
     return ConvergenceTrace(problem, records)
+
+
+def pair_views(n_qubits: int, op: GateOp) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Index tuples of the target's 0 and 1 halves, each control at its
+    state, in the (2,)*n tensor of the amplitudes (qubit q is axis n-1-q)."""
+    sel = [slice(None)] * n_qubits
+    for q, s in zip(op.qubits, (0, *op.control_states)):
+        sel[n_qubits - 1 - q] = slice(s, s + 1)
+    i0 = tuple(sel)
+    sel[n_qubits - 1 - op.target] = slice(1, 2)
+    return i0, tuple(sel)
+
+
+def tensor_passes(amps: np.ndarray, circuit: Circuit) -> None:
+    """In place: sim.apply_passes's arithmetic, each pass's rows on the
+    halves of pair_views, where every qubit has an axis of its own."""
+    t = amps.reshape((2,) * circuit.n_qubits)
+    for op, (*_, rows) in zip(circuit.ops, circuit._passes):
+        halves = tuple(t[i] for i in pair_views(circuit.n_qubits, op))
+        new = []
+        for terms in rows:
+            parts = [halves[j] if c is None else c * halves[j] for j, c in terms]
+            new.append(parts[0] + parts[1] if len(parts) == 2 else parts[0])
+        if new[1] is halves[0]:
+            new[1] = new[1].copy()
+        for half, row in zip(halves, new):
+            if row is not half:
+                half[...] = row
 
 
 # ---------------------------------------------------------------------------

@@ -972,6 +972,14 @@ def test_load_problem_without_point_records_names_the_file(tmp_path):
         load_problem(path)
 
 
+def test_load_problem_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "problem.txt"
+    save_problem(generate_problem(5), path)
+    path.write_bytes(path.read_bytes() + b"# \xff\xfe\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load_problem(path)
+
+
 def test_obs_records_in_any_order_load_to_the_same_observations(tmp_path):
     saved, backwards = tmp_path / "saved.txt", tmp_path / "backwards.txt"
     save_problem(generate_problem(4), saved)

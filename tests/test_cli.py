@@ -374,6 +374,17 @@ def test_missing_config_file_fails_with_one_line(tmp_path, capsys):
     assert "cannot read config file" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_non_utf8_config_file_fails_with_one_line(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"iters=3\n\xff\xfe=1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: config file is not UTF-8 text" in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_compare_accepts_second_configuration_keys(tmp_path):
     cfg = tmp_path / "qlma.cfg"
     cfg.write_text("seeds=1\niters=1\nbackend=classical\nbackend_b=classical-dense\n")

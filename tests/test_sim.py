@@ -22,7 +22,7 @@ from qlma.sim import (
     qft_circuit,
 )
 
-from reference import circuit_unitary, cry, cu, gate_counts, op_unitary, u, u_adjoint, u_matrix
+from reference import circuit_unitary, cry, cu, gate_counts, op_unitary, tensor_passes, u, u_adjoint, u_matrix
 
 RNG = np.random.default_rng(12345)
 
@@ -346,7 +346,7 @@ def test_circuit_passes_are_computed_once_and_read_only():
     passes = circuit._passes
     assert apply_circuit(state, circuit).amplitudes.tobytes() == first.tobytes() == expected.tobytes()
     assert circuit._passes is passes and len(passes) == 5  # one pass per op
-    for op, (i0, i1, rows) in zip(ops, passes):
+    for op, (shape, i0, i1, rows) in zip(ops, passes):
         hash(rows)  # nested tuples of numbers and None only: nothing in a pass can be written
         # each row lists the matrix row's nonzero entries, None standing for exactly one
         dense = np.zeros((2, 2), dtype=complex)
@@ -355,15 +355,15 @@ def test_circuit_passes_are_computed_once_and_read_only():
             for j, c in terms:
                 dense[r, j] = 1 if c is None else c
         assert np.array_equal(dense, op.matrix)
-    assert passes[4][2] == (((1, None),), ((0, None),))  # a flip: each half is the other
+    assert passes[4][3] == (((1, None),), ((0, None),))  # a flip: each half is the other
 
 
 def test_norm_change_in_any_pass_fails_the_final_check():
     # the norm is checked once per circuit; a later unitary pass keeps a lost norm lost
     circuit = Circuit(2, (h(0), h(1)))
-    i0, i1, rows = circuit._passes[0]
+    shape, i0, i1, rows = circuit._passes[0]
     scaled = tuple(tuple((j, 1.5 * (1 if c is None else c)) for j, c in terms) for terms in rows)
-    circuit.__dict__["_passes"] = ((i0, i1, scaled), circuit._passes[1])
+    circuit.__dict__["_passes"] = ((shape, i0, i1, scaled), circuit._passes[1])
     with pytest.raises(SimulationError, match="norm"):
         apply_circuit(StateVector.zero(2), circuit)
 
@@ -451,6 +451,51 @@ def test_apply_circuit_equals_mask_kernel_on_states_with_exact_zeros(circuit, se
         amps[: low.amplitudes.size] = low.amplitudes
         state = StateVector(n, amps)
     assert np.array_equal(apply_circuit(state, circuit).amplitudes, per_gate(state.amplitudes, circuit))
+
+
+@st.composite
+def wide_circuits(draw):
+    """Circuits on 1 to 13 qubits: ops of circuit_ops, swaps as three flips,
+    and dense gates under any number of controls of either polarity."""
+    n = draw(st.integers(1, 13))
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["op", "swap", "dense"] if n > 1 else ["op", "dense"]))
+        if kind == "op":
+            ops.append(draw(circuit_ops(n)))
+        elif kind == "swap":
+            a, b = draw(st.permutations(range(n)))[:2]
+            ops.extend([cx(a, b), cx(b, a), cx(a, b)])
+        else:
+            target = draw(st.integers(0, n - 1))
+            others = draw(st.permutations([q for q in range(n) if q != target]))
+            n_ctrl = draw(st.integers(0, len(others)))
+            states = tuple(draw(st.lists(st.integers(0, 1), min_size=n_ctrl, max_size=n_ctrl)))
+            matrix = u_matrix(*draw(st.tuples(angles, angles, angles, angles)))
+            ops.append(GateOp("u", target, tuple(others[:n_ctrl]), states, matrix=matrix))
+    return Circuit(n, tuple(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_circuits(), st.integers(0, 2**32 - 1))
+@example(
+    circuit=Circuit(13, (cx(12, 0), cx(0, 12), cx(12, 0), GateOp("u", 6, (0, 12, 5), (1, 0, 1), matrix=u_matrix(1, 2, 3, 4)))),
+    seed=0,
+)
+def test_coarse_view_passes_give_the_bytes_of_the_qubit_tensor(circuit, seed):
+    """apply_circuit, which merges each run of qubits a pass leaves alone into
+    one axis, gives the bytes of the same passes on the (2,)*n tensor, on
+    states where a quarter of the real and imaginary parts are +0 or -0."""
+    n = circuit.n_qubits
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    parts = amps.view(float)
+    zeroed = rng.random(parts.size) < 0.25
+    parts[zeroed] = np.where(rng.random(np.count_nonzero(zeroed)) < 0.5, 0.0, -0.0)
+    parts *= 1.0 / np.linalg.norm(amps)  # a real scale keeps the signs of the zeros
+    expected = amps.copy()
+    tensor_passes(expected, circuit)
+    assert apply_circuit(StateVector(n, amps), circuit).amplitudes.tobytes() == expected.tobytes()
 
 
 def test_apply_gate_and_apply_circuit_leave_the_input_state_unwritten():

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlma.ba import build_normal_equations, generate_problem, residuals_and_jacobian
@@ -323,8 +323,15 @@ def hermitian_matrices(draw):
     return draw(st.sampled_from([1e-13, 1e-3, 1.0, 1e3])) * (a + a.conj().T)
 
 
+def pauli_sum(*terms):
+    return sum(c * pauli_string_matrix(label) for c, label in terms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(hermitian_matrices(), st.sampled_from([1, 2]), st.floats(-3.0, 3.0, allow_nan=False))
+# exact |coefficient| ties of both signs, which the label alone orders
+@example(m=pauli_sum((0.5, "XI"), (-0.5, "IX"), (0.5, "ZZ"), (0.25, "II")), order=2, time=0.7)
+@example(m=pauli_sum((-0.5, "YZI"), (0.5, "ZYI"), (-0.5, "IIX"), (0.5, "XII"), (-0.25, "ZZZ"), (0.25, "IYY")), order=1, time=-1.3)
 def test_pauli_table_bit_identical_to_dense_basis(m, order, time):
     dec = decompose_hermitian(m)
     assert dec.terms == dense_decompose_terms(m)
@@ -337,6 +344,46 @@ def test_pauli_table_bit_identical_to_dense_basis(m, order, time):
 def test_slice_matrix_bytes_equal_dense_reference(m, order, time):
     # tobytes also tells signed zeros apart, which np.array_equal does not
     spec = EvolutionSpec(decompose_hermitian(m), time, slices=3, order=order)
+    assert slice_matrix(spec).tobytes() == dense_slice_matrix(spec).tobytes()
+
+
+# each term's cosine at s = 1: negative, positive, negative, then runs of one
+# sign; Z-only terms, whose nonzeros lie on the diagonal, sit after terms of
+# either kind and of either sign
+SIGN_CHANGING_TERMS = (
+    (3.0, "XY"), (1.0, "ZI"), (2.5, "IZ"), (0.5, "XX"), (2.0, "YZ"), (1.9, "ZZ"),
+    (0.25, "II"), (0.75, "ZZ"), (0.3, "XI"), (0.4, "YY"), (1.2, "IZ"),
+)
+
+
+@pytest.mark.parametrize(
+    "terms, time, order",
+    [
+        (SIGN_CHANGING_TERMS, 1.0, 1),
+        (SIGN_CHANGING_TERMS, 2.0, 2),
+        # diagonal on one qubit, where the signs of the zeros reach the slice's bytes
+        (((-2.0, "Z"), (2.0, "Z"), (-0.5, "I")), 2.0, 1),
+        (((0.3, "I"), (2.5, "Z")), -2.0, 2),
+    ],
+    ids=["order-1", "order-2", "one-qubit-diagonal-order-1", "one-qubit-diagonal-order-2"],
+)
+def test_slice_rewrite_keeps_bytes_when_cosine_signs_change(terms, time, order):
+    """slice_matrix rewrites only the diagonal and the last term's nonzeros
+    while the cosine's sign holds, and the whole term when it flips."""
+    s = time if order == 1 else time / 2
+    signs = [math.cos(c * s) < 0 for c, _ in terms]
+    assert any(a != b for a, b in zip(signs, signs[1:]))
+    spec = EvolutionSpec(HermitianDecomposition(len(terms[0][1]), terms), time, slices=1, order=order)
+    assert slice_matrix(spec).tobytes() == dense_slice_matrix(spec).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("time", [0.4, -2.6])
+def test_slice_rewrite_keeps_bytes_of_a_z_only_term(order, time):
+    """A Z-only term scatters onto the diagonal, the entries a term's
+    cos(cs) I also writes, and a term after it must restore them."""
+    terms = ((0.9, "ZZI"), (0.7, "XIY"), (0.5, "IZZ"), (0.5, "ZIZ"), (0.3, "YXI"), (0.2, "III"))
+    spec = EvolutionSpec(HermitianDecomposition(3, terms), time, slices=2, order=order)
     assert slice_matrix(spec).tobytes() == dense_slice_matrix(spec).tobytes()
 
 
