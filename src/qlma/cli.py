@@ -146,7 +146,7 @@ def _run_one(job: tuple[int, RunConfig]) -> ConvergenceTrace:
     return optimize(problem, SETUPS[config.setup], config.resolved_backend(), max_iters=config.max_iters)
 
 
-def _run_batch_preserving(config: RunConfig, seeds: tuple[int, ...]) -> tuple[dict[int, ConvergenceTrace], list[str]]:
+def run_batch(config: RunConfig, seeds: tuple[int, ...]) -> tuple[dict[int, ConvergenceTrace], list[str]]:
     """Optimize every (offset) seed, in parallel on up to config.jobs
     workers, never more than one per seed; a failing seed is reported in the
     failure list and does not discard finished ones."""
@@ -168,32 +168,23 @@ def _run_batch_preserving(config: RunConfig, seeds: tuple[int, ...]) -> tuple[di
     return traces, failures
 
 
-def run_batch(config: RunConfig) -> dict[int, ConvergenceTrace]:
-    """Optimize every seed; raises if any seed failed."""
-    traces, failures = _run_batch_preserving(config, _offset_seeds(config.seeds))
-    if failures:
-        raise RuntimeError("; ".join(failures))
-    return traces
-
-
-def aligned_costs(traces: dict[int, ConvergenceTrace]) -> tuple[np.ndarray, list[int]]:
-    """Per-iteration cost matrix (seeds x iterations); traces that stopped
-    early carry their final cost forward."""
-    seeds = list(traces)
-    length = max(len(traces[s].records) for s in seeds)
-    out = np.zeros((len(seeds), length))
-    for row, s in enumerate(seeds):
-        costs = traces[s].costs()
+def aligned_costs(traces: dict[int, ConvergenceTrace], length: int = 0) -> np.ndarray:
+    """Per-iteration cost matrix (seeds x iterations), at least `length`
+    iterations wide; traces that stopped early carry their final cost forward."""
+    length = max(length, *(len(trace.records) for trace in traces.values()))
+    out = np.zeros((len(traces), length))
+    for row, trace in enumerate(traces.values()):
+        costs = trace.costs()
         out[row, : len(costs)] = costs
         out[row, len(costs) :] = costs[-1]
-    return out, seeds
+    return out
 
 
 def write_summary(traces: dict[int, ConvergenceTrace], path) -> dict[str, tuple[list, list]]:
     """Mean across seeds plus the curves of the best and worst seeds,
     ranked by their cost at the last iteration; returns the three curves
     as plot series."""
-    costs, seeds = aligned_costs(traces)
+    costs = aligned_costs(traces)
     finals = costs[:, -1]
     best_row = int(np.argmin(finals))
     worst_row = int(np.argmax(finals))
@@ -214,7 +205,7 @@ def write_summary(traces: dict[int, ConvergenceTrace], path) -> dict[str, tuple[
 def cmd_run(config: RunConfig) -> int:
     seeds = _offset_seeds(config.seeds)
     _make_output_dir(config.output_dir)
-    traces, failures = _run_batch_preserving(config, seeds)
+    traces, failures = run_batch(config, seeds)
     for seed, trace in traces.items():
         write_trace_csv(trace, os.path.join(config.output_dir, f"trace_seed{seed}.csv"), config.timing)
     if traces:
@@ -228,36 +219,30 @@ def cmd_run(config: RunConfig) -> int:
 
 def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     """Overlay both configurations per seed; config_b shares config_a's
-    seeds and output directory and differs only in setup and backend."""
-    _offset_seeds(config_a.seeds)  # reject bad seeds before making the directory
+    seeds and output directory, differs only in setup and backend, and runs
+    only once config_a has succeeded on every seed."""
+    seeds = _offset_seeds(config_a.seeds)
     _make_output_dir(config_a.output_dir)
-    try:
-        traces_a = run_batch(config_a)
-        traces_b = run_batch(config_b)
-    except Exception as exc:
-        print(f"compare failed: {exc}", file=sys.stderr)
-        return 1
-    label_a = f"{config_a.backend}-setup{config_a.setup}"
-    label_b = f"{config_b.backend}-setup{config_b.setup}"
-    if label_a == label_b:
-        label_a += "-a"
-        label_b += "-b"
-    costs_a, seeds = aligned_costs(traces_a)
-    costs_b, _ = aligned_costs(traces_b)
+    batches = []
+    for config in (config_a, config_b):
+        traces, failures = run_batch(config, seeds)
+        if failures:
+            print(f"compare failed: {'; '.join(failures)}", file=sys.stderr)
+            return 1
+        batches.append(traces)
+    labels = [f"{config.backend}-setup{config.setup}" for config in (config_a, config_b)]
+    if labels[0] == labels[1]:
+        labels = [labels[0] + "-a", labels[1] + "-b"]
+    # the CSV pads both configurations to the longer; each curve keeps its own batch's length
+    lengths = [max(len(trace.records) for trace in traces.values()) for traces in batches]
+    width = max(lengths)
+    costs = [aligned_costs(traces, width) for traces in batches]
     for row, seed in enumerate(seeds):
-        path = os.path.join(config_a.output_dir, f"compare_seed{seed}.csv")
-        with open(path, "w", newline="") as fh:
+        with open(os.path.join(config_a.output_dir, f"compare_seed{seed}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", f"cost_{label_a}", f"cost_{label_b}"])
-            length = max(costs_a.shape[1], costs_b.shape[1])
-            for it in range(length):
-                a = costs_a[row, min(it, costs_a.shape[1] - 1)]
-                b = costs_b[row, min(it, costs_b.shape[1] - 1)]
-                writer.writerow([it + 1, repr(float(a)), repr(float(b))])
-        series = {
-            label_a: (list(range(1, costs_a.shape[1] + 1)), list(costs_a[row])),
-            label_b: (list(range(1, costs_b.shape[1] + 1)), list(costs_b[row])),
-        }
+            writer.writerow(["iteration", *(f"cost_{label}" for label in labels)])
+            writer.writerows(zip(range(1, width + 1), *([repr(c) for c in batch[row].tolist()] for batch in costs)))
+        series = {label: (list(range(1, n + 1)), list(batch[row, :n])) for label, n, batch in zip(labels, lengths, costs)}
         write_line_plot(os.path.join(config_a.output_dir, f"compare_seed{seed}.svg"), series, f"problem {seed}")
     return 0
 
@@ -392,16 +377,11 @@ def _run_config_from(args: argparse.Namespace, file_values: dict[str, str], suff
 
 def _check_noise_flags(args: argparse.Namespace) -> None:
     """Reject an out-of-range `qlma noise` flag, or one the command would
-    ignore, before anything is printed."""
-    counts = (
-        ("--measured-qubits", args.measured_qubits, 0),
-        ("--iterations", args.iterations, 0),
-        ("--slices", args.slices, 1),
-        ("--phase-qubits", args.phase_qubits, 1),
-    )
-    for flag, value, low in counts:
-        if value is not None and value < low:
-            raise InputError(f"{flag} must be at least {low}, got {value}")
+    ignore, before anything is printed; RunConfig has already range-checked
+    --slices and --phase-qubits."""
+    for flag, value in (("--measured-qubits", args.measured_qubits), ("--iterations", args.iterations)):
+        if value < 0:
+            raise InputError(f"{flag} must be at least 0, got {value}")
     for flag in ("one_qubit_rate", "two_qubit_rate", "measurement_rate"):
         value = getattr(args, flag)
         if value is None:
@@ -428,6 +408,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "noise":
+        hhl = _run_config_from(args, {}).resolved_backend().hhl
         _check_noise_flags(args)
         if args.preset:
             rates = RATE_PRESETS[args.preset]
@@ -437,7 +418,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args.two_qubit_rate if args.two_qubit_rate is not None else 0.0,
                 args.measurement_rate if args.measurement_rate is not None else 0.0,
             )
-        hhl = _run_config_from(args, {}).resolved_backend().hhl
         return cmd_noise(rates, args.measured_qubits, args.iterations, args.own_counts, hhl, args.p_single)
 
     valid_keys = COMPARE_KEYS if args.command == "compare" else RUN_KEYS

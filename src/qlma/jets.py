@@ -67,12 +67,6 @@ class Jet:
     def __le__(self, other):
         return self.value <= _value(other)
 
-    def __gt__(self, other):
-        return self.value > _value(other)
-
-    def __ge__(self, other):
-        return self.value >= _value(other)
-
 
 def _split(x):
     """Value and partials of a jet.  A constant's partials are zero: the scalar 0.0

@@ -69,8 +69,10 @@ class HermitianDecomposition:
 def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     """Expand a Hermitian matrix in the Pauli-string basis.
 
-    Coefficients are tr(P @ M) / 2**k and come out real for Hermitian input;
-    terms below 1e-12 are dropped.
+    Coefficients are tr(P @ M) / 2**k, of which only the real parts are
+    kept: P has one unit entry per row, so |Im c_P| = |tr(P (M - M^H))| / 2**(k+1)
+    is at most half the asymmetry that the Hermitian check lets through.
+    Terms below 1e-12 are dropped.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -90,8 +92,6 @@ def decompose_hermitian(matrix: np.ndarray) -> HermitianDecomposition:
     # the term order and every trace depend on (tests/test_trotter.py).
     products = phases * m.reshape(-1)[gather]
     coeffs = functools.reduce(np.add, products, np.zeros(4**n_qubits, dtype=complex)) / dim
-    if np.max(np.abs(coeffs.imag)) > HERMITIAN_TOL * scale:
-        raise SimulationError("non-real Pauli coefficients")
     kept = np.flatnonzero(np.abs(coeffs.real) > COEFF_TOL)
     kept = kept[np.lexsort((kept, -np.abs(coeffs.real[kept])))]  # columns are in label order
     return HermitianDecomposition(n_qubits, tuple(zip(coeffs.real[kept].tolist(), [labels[a] for a in kept.tolist()])))

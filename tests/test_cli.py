@@ -49,8 +49,7 @@ def test_run_hhl_backend_deterministic(tmp_path):
 
 
 def test_summary_mean_column(tmp_path):
-    config = RunConfig(seeds=(1, 2, 3), max_iters=5, backend="classical")
-    traces = run_batch(config)
+    traces, _ = run_batch(RunConfig(max_iters=5, backend="classical"), (1, 2, 3))
     path = tmp_path / "summary.csv"
     write_summary(traces, path)
     rows = read_csv(path)
@@ -63,8 +62,7 @@ def test_summary_mean_column(tmp_path):
 
 
 def test_summary_best_worst_ranked_by_final_cost(tmp_path):
-    config = RunConfig(seeds=(1, 2, 3), max_iters=6, backend="classical")
-    traces = run_batch(config)
+    traces, _ = run_batch(RunConfig(max_iters=6, backend="classical"), (1, 2, 3))
     path = tmp_path / "summary.csv"
     write_summary(traces, path)
     rows = read_csv(path)
@@ -101,26 +99,51 @@ def test_compare_writes_overlays(tmp_path):
 
 
 def _fail_seed_2(monkeypatch):
-    """Make the solve of seed 2 raise, as a solver abort would."""
+    """Make the solve of seed 2 raise, as a solver abort would; returns the
+    list of seeds each solve was started for."""
     import qlma.cli as cli
 
     real = cli._run_one
+    started = []
 
     def flaky(job):
+        started.append(job[0])
         if job[0] == 2:
             raise RuntimeError("synthetic solver abort")
         return real(job)
 
     monkeypatch.setattr(cli, "_run_one", flaky)
+    return started
 
 
 def test_compare_failure_writes_no_overlay(tmp_path, monkeypatch, capsys):
-    _fail_seed_2(monkeypatch)
+    started = _fail_seed_2(monkeypatch)
     out = tmp_path / "cmp"
     assert main(["compare", "--seeds", "1,2", "--backend", "classical", "--iters", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("compare failed:") == 1 and "seed 2: synthetic solver abort" in err
     assert not list(out.glob("compare_seed*"))
+    assert started == [1, 2]  # configuration b never starts once a has failed
+
+
+def test_compare_pads_the_shorter_configuration(tmp_path):
+    """Setup 2's traces stop early (seed 3 after 150 records, seed 4 after 90)
+    and setup 1's run all 200 iterations.  Each CSV holds the longer length,
+    with setup 2's final cost carried forward; each SVG curve keeps the
+    length of its own batch."""
+    out = tmp_path / "cmp"
+    shared = ["--seeds", "3,4", "--backend", "classical", "--iters", "200"]
+    assert main(["compare", *shared, "--setup", "2", "--setup-b", "1", "--backend-b", "classical", "--out", str(out)]) == 0
+    assert main(["run", *shared, "--setup", "2", "--out", str(tmp_path / "run")]) == 0
+    for seed, stopped in ((3, 150), (4, 90)):
+        costs = [row["cost"] for row in read_csv(tmp_path / "run" / f"trace_seed{seed}.csv")]
+        assert len(costs) == stopped
+        rows = read_csv(out / f"compare_seed{seed}.csv")
+        assert [row["iteration"] for row in rows] == [str(it) for it in range(1, 201)]
+        assert [row["cost_classical-setup2"] for row in rows] == costs + costs[-1:] * (200 - stopped)
+        svg = (out / f"compare_seed{seed}.svg").read_text()
+        curves = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert [len(points.split()) for points in curves] == [150, 200]
 
 
 def test_compare_identical_configs_identical_columns(tmp_path):
@@ -216,6 +239,17 @@ def test_noise_own_counts_run_without_the_test_references(tmp_path):
     lines = result.stdout.splitlines()
     assert "own unrolled tally: cry=18 cu=190406 cx=1120006 h=1097612 u=313600" in lines
     assert "reference" not in lines[-1].split()[1:]
+
+
+def test_module_entry_point_exits_with_the_command_code(tmp_path):
+    """`python -m qlma.cli` runs main and exits with its return code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlma.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "qlma.cli", "noise", "--iterations", "-1"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "qlma: error: --iterations must be at least 0, got -1\n"
 
 
 def test_gen_writes_problem_files(tmp_path):
@@ -337,10 +371,11 @@ def test_run_config_rejects_a_bool_or_non_integral_setting(setting, message):
         RunConfig(**setting)
 
 
-def test_run_batch_raises_when_a_seed_fails(monkeypatch):
-    _fail_seed_2(monkeypatch)
-    with pytest.raises(RuntimeError, match="seed 2: synthetic solver abort"):
-        run_batch(RunConfig(seeds=(1, 2), max_iters=1))
+def test_run_batch_reports_a_failing_seed_and_keeps_the_others(monkeypatch):
+    started = _fail_seed_2(monkeypatch)
+    traces, failures = run_batch(RunConfig(max_iters=1), (1, 2, 3))
+    assert list(traces) == [1, 3] and failures == ["seed 2: synthetic solver abort"]
+    assert started == [1, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -443,8 +478,9 @@ def test_out_of_range_run_settings_fail_with_one_line(tmp_path, capsys, command,
         (["--iterations", "-1"], "--iterations must be at least 0, got -1"),
         (["--p-single", "1.5"], "--p-single must lie in [0, 1], got 1.5"),
         (["--one-qubit-rate", "2"], "--one-qubit-rate must lie in [0, 1), got 2.0"),
-        (["--own-counts", "--phase-qubits", "0"], "--phase-qubits must be at least 1, got 0"),
-        (["--own-counts", "--slices", "0"], "--slices must be at least 1, got 0"),
+        # RunConfig range-checks these two, as it does for run and compare
+        (["--own-counts", "--phase-qubits", "0"], "phase_qubits must be at least 1, got 0"),
+        (["--own-counts", "--slices", "0"], "slices must be at least 1, got 0"),
         (["--preset", "ibmq", "--one-qubit-rate", "0.5"], "--one-qubit-rate cannot be combined with --preset"),
         (["--preset", "ibmq", "--two-qubit-rate", "0.1"], "--two-qubit-rate cannot be combined with --preset"),
         (["--preset", "experimental", "--measurement-rate", "0"], "--measurement-rate cannot be combined with --preset"),

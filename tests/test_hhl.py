@@ -207,6 +207,13 @@ def test_solve_rejects_a_zero_spectral_bound():
         hhl_solve(HermitianProblem(np.zeros((2, 2)), np.array([1.0, 0.0]), 1.0, 2))
 
 
+def test_solve_rejects_a_register_that_resolves_only_the_zero_bin():
+    # eigenvalues of 1e-6 and 2e-6 under a bound of 1 put all the weight in bin 0 of 2**3
+    problem = embed_problem(np.diag([1e-6, 2e-6]), np.ones(2))
+    with pytest.raises(HhlError, match="^phase register resolves only the zero eigenvalue bin$"):
+        hhl_solve(problem, HhlConfig(n_phase_qubits=3, lambda_bound=1.0))
+
+
 def test_spectral_bound_covers_eigenvalues():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(8, 8))

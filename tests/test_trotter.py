@@ -11,6 +11,7 @@ from qlma.hhl import HhlConfig
 from qlma.optimizer import hhl_system
 from qlma.sim import SimulationError, StateVector, apply_circuit
 from qlma.trotter import (
+    HERMITIAN_TOL,
     EvolutionSpec,
     HermitianDecomposition,
     decompose_hermitian,
@@ -311,6 +312,31 @@ def test_decompose_then_reconstruct_returns_the_matrix(n, seed, real, rounded):
         a = np.round(4 * a) / 4  # exactly vanishing coefficients are dropped
     m = a + a.conj().T
     assert np.max(np.abs(reconstruct(decompose_hermitian(m)) - m)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1e-3, 1.0, 1e3]), pauli=st.booleans())
+def test_imaginary_coefficients_stay_within_half_the_hermitian_tolerance(n, seed, size, pauli):
+    """decompose_hermitian keeps only the real parts of the coefficients.  At
+    an asymmetry just inside the tolerance, every imaginary part stays below
+    half of it; an anti-Hermitian Pauli string i*P as the asymmetry reaches
+    that bound, so it is tight."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    if pauli:
+        skew = 1j * pauli_string_matrix("".join(rng.choice(list("IXYZ"), n)))
+    else:
+        skew = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        skew -= skew.conj().T
+    hermitian = size * (a + a.conj().T)
+    bound = HERMITIAN_TOL * max(1.0, float(np.max(np.abs(hermitian))))
+    m = hermitian + skew * (0.999 * bound / np.max(np.abs(skew - skew.conj().T)))
+    decompose_hermitian(m)  # passes the Hermitian check
+    _, basis = dense_basis(n)
+    worst = np.max(np.abs((np.einsum("aij,ji->a", basis, m) / 2**n).imag))
+    assert worst <= bound / 2
+    if pauli:
+        assert worst >= 0.499 * bound
 
 
 @st.composite
